@@ -5,13 +5,15 @@ violation, identity residual over the tolerance band, rewrite
 postcondition breach), 2 input or usage error.  Diagnostics go to
 stderr, data to stdout; identical inputs and flags produce byte-identical
 output.
+
+Every subcommand takes --format, and those that read a graph take
+--input; the eigensolver tolerance is the fixed spectral.DEFAULT_TOL.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import blocks as blocks_mod
@@ -58,12 +60,6 @@ def _add_common(sub, with_input=True) -> None:
         sub.add_argument("--input", "-i", default="-",
                          help="edge-list file, or - for stdin (default)")
     sub.add_argument("--format", choices=("text", "json"), default="text")
-    sub.add_argument("--tol", type=float, default=spectral.DEFAULT_TOL,
-                     help="eigensolver residual tolerance (default 1e-12)")
-    sub.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                     help="worker processes for enumerate/verify")
-    sub.add_argument("--seed", type=int, default=0,
-                     help="seed for sampling-based commands (reserved)")
 
 
 def _cmd_validate(args) -> int:
@@ -119,7 +115,7 @@ def _cmd_alpha(args) -> int:
 
 def _cmd_rho(args) -> int:
     g = _read_graph(args.input)
-    rho = spectral.perron(g, args.tol).rho
+    rho = spectral.perron(g).rho
     if args.format == "json":
         _emit_json({"rho": _fmt(rho)})
     else:
@@ -127,9 +123,9 @@ def _cmd_rho(args) -> int:
     return EXIT_OK
 
 
-def _identity_payload(g: graphs.Graph, tol: float) -> dict:
+def _identity_payload(g: graphs.Graph) -> dict:
     t = blocks_mod.decompose(g)
-    pair = spectral.perron(g, tol)
+    pair = spectral.perron(g)
     residuals = []
     two_block = None
     data = spectral.two_block_data_from_graph(g, pair, t)
@@ -170,7 +166,7 @@ def _identity_payload(g: graphs.Graph, tol: float) -> dict:
 
 def _cmd_identities(args) -> int:
     g = _read_graph(args.input)
-    payload = _identity_payload(g, args.tol)
+    payload = _identity_payload(g)
     if args.format == "json":
         _emit_json(payload)
     else:
@@ -208,23 +204,21 @@ def _cmd_rewrite(args) -> int:
         if args.vertex is None or args.bi_block is None or args.bj_block is None:
             raise BiblockError("reduce needs --vertex, --bi-block, --bj-block")
         outcome = rewrites.reduce_block_index(
-            g, t, args.vertex, args.bi_block, args.bj_block, tol=args.tol
+            g, t, args.vertex, args.bi_block, args.bj_block
         )
     else:
         if args.f_block is None or args.h_block is None:
             raise BiblockError(f"{args.kind} needs --f-block and --h-block")
         if args.kind == "merge":
-            outcome = rewrites.merge_blocks(g, t, args.f_block, args.h_block, tol=args.tol)
+            outcome = rewrites.merge_blocks(g, t, args.f_block, args.h_block)
         elif args.kind == "reattach":
-            outcome = rewrites.reattach_subcase32(
-                g, t, args.f_block, args.h_block, tol=args.tol
-            )
+            outcome = rewrites.reattach_subcase32(g, t, args.f_block, args.h_block)
         else:
             n1 = None
             if args.n1:
                 n1 = [int(s) for s in args.n1.split(",")]
             outcome = rewrites.split_partition_subcase22(
-                g, t, args.f_block, args.h_block, n1_choice=n1, tol=args.tol
+                g, t, args.f_block, args.h_block, n1_choice=n1
             )
     payload = _outcome_payload(outcome)
     if args.format == "json":
@@ -236,13 +230,13 @@ def _cmd_rewrite(args) -> int:
 
 def _cmd_normalize(args) -> int:
     g = _read_graph(args.input)
-    final, trace = rewrites.normalize(g, tol=args.tol)
+    final, trace = rewrites.normalize(g)
     alpha = independence.alpha_matching(g).alpha
     payload = {
         "k": g.k,
         "alpha": alpha,
-        "rho_initial": _fmt(spectral.perron(g, args.tol).rho) if g.k >= 2 else None,
-        "rho_final": _fmt(spectral.perron(final, args.tol).rho) if g.k >= 2 else None,
+        "rho_initial": _fmt(spectral.perron(g).rho) if g.k >= 2 else None,
+        "rho_final": _fmt(spectral.perron(final).rho) if g.k >= 2 else None,
         "step_count": len(trace),
         "final_edges": [list(e) for e in sorted(final.edges)],
         "steps": [_outcome_payload(o) for o in trace],
@@ -291,7 +285,7 @@ def _report_payload(rep: enumeration.ExtremalReport) -> dict:
 
 
 def _cmd_verify_theorem(args) -> int:
-    reports = enumeration.verify_theorem(args.k, args.alpha, jobs=args.jobs)
+    reports = enumeration.verify_theorem(args.k, args.alpha)
     payloads = [_report_payload(r) for r in reports]
     if args.format == "json":
         _emit_json(payloads)

@@ -7,12 +7,16 @@ existing vertex and deduplicating by canonical form.  The cross-check
 route enumerates bipartite edge subsets outright and filters; it shares
 no logic with the block-tree route and pins down its correctness for
 small k.
+
+The extremal sweep computes each quantity once: ``verify_theorem``
+enumerates B(k) once, takes each graph's alpha once and partitions the
+graphs by it, and each graph's Perron pair is solved once and cached on
+the graph.  One per-class check serves the sweep and ``extremal_verify``.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .blocks import is_bi_block
@@ -31,7 +35,7 @@ from .graphs import (
     is_isomorphic,
 )
 from .independence import alpha_matching
-from .spectral import DEFAULT_TOL, perron
+from .spectral import perron
 
 GENERATION_CAP = 10
 FILTER_CAP = 7
@@ -160,33 +164,18 @@ class ExtremalReport:
     margin: float | None
 
 
-def _rho_of(g: Graph) -> float:
-    return perron(g, DEFAULT_TOL).rho
-
-
-def _class_rhos(graphs: list[Graph], jobs: int) -> list[float]:
-    if jobs > 1 and len(graphs) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_rho_of, graphs, chunksize=8))
-    return [_rho_of(g) for g in graphs]
-
-
-def extremal_verify(
-    spec: ClassSpec, tol: float = DEFAULT_TOL, jobs: int = 1
-) -> ExtremalReport:
-    """Maximize rho over B(k, alpha) and check the extremal claims.
+def _verify_class(k: int, alpha: int, members: list[Graph]) -> ExtremalReport:
+    """Maximize rho over the members of B(k, alpha) and check the
+    extremal claims.
 
     The maximizer must be K_{alpha, k-alpha}, its rho must equal
     sqrt(alpha * (k - alpha)), and in classes with more than one member
     the runner-up must trail by more than the uniqueness band.  Raises
     TheoremViolationError (carrying the offender) otherwise.
     """
-    if spec.alpha is None:
-        raise InvalidSizeError("extremal_verify needs an explicit alpha")
-    members = enumerate_class(spec)
     if not members:
-        raise EmptyClassError(f"B({spec.k}, {spec.alpha}) is empty")
-    rhos = _class_rhos(members, jobs)
+        raise EmptyClassError(f"B({k}, {alpha}) is empty")
+    rhos = [perron(g).rho for g in members]
     order = sorted(range(len(members)), key=lambda i: rhos[i], reverse=True)
     best = order[0]
     max_rho = rhos[best]
@@ -195,8 +184,8 @@ def extremal_verify(
     margin = max_rho - runner_up if runner_up is not None else None
     attain = [i for i in order if rhos[i] > max_rho - UNIQUENESS_BAND]
     report = ExtremalReport(
-        k=spec.k,
-        alpha=spec.alpha,
+        k=k,
+        alpha=alpha,
         class_size=len(members),
         max_rho=max_rho,
         argmax_canonical=canonical_form(argmax),
@@ -204,12 +193,12 @@ def extremal_verify(
         runner_up_rho=runner_up,
         margin=margin,
     )
-    target = complete_bipartite(spec.alpha, spec.k - spec.alpha)
+    target = complete_bipartite(alpha, k - alpha)
     if not is_isomorphic(argmax, target):
         raise TheoremViolationError(
-            f"argmax of B({spec.k},{spec.alpha}) is not K_{{alpha,k-alpha}}", argmax
+            f"argmax of B({k},{alpha}) is not K_{{alpha,k-alpha}}", argmax
         )
-    expected = math.sqrt(spec.alpha * (spec.k - spec.alpha))
+    expected = math.sqrt(alpha * (k - alpha))
     if abs(max_rho - expected) >= UNIQUENESS_BAND:
         raise TheoremViolationError(
             f"max rho {max_rho} differs from sqrt(alpha(k-alpha)) = {expected}",
@@ -217,17 +206,28 @@ def extremal_verify(
         )
     if len(members) > 1 and not (margin is not None and margin > UNIQUENESS_BAND):
         raise TheoremViolationError(
-            f"maximizer of B({spec.k},{spec.alpha}) is not unique "
-            f"(margin {margin})",
+            f"maximizer of B({k},{alpha}) is not unique (margin {margin})",
             members[order[1]],
         )
     return report
 
 
-def verify_theorem(k: int, alpha: int | None = None, jobs: int = 1) -> list[ExtremalReport]:
-    """Extremal reports for every nonempty class at this k (or one alpha)."""
+def extremal_verify(spec: ClassSpec) -> ExtremalReport:
+    """Maximize rho over B(k, alpha) and check the extremal claims."""
+    if spec.alpha is None:
+        raise InvalidSizeError("extremal_verify needs an explicit alpha")
+    return _verify_class(spec.k, spec.alpha, enumerate_class(spec))
+
+
+def verify_theorem(k: int, alpha: int | None = None) -> list[ExtremalReport]:
+    """Extremal reports for every nonempty class at this k (or one alpha).
+
+    B(k) is enumerated once and each graph's alpha taken once; the
+    graphs are then partitioned by alpha, one class per report.
+    """
     if alpha is not None:
-        return [extremal_verify(ClassSpec(k, alpha), jobs=jobs)]
-    graphs = enumerate_biblock(k)
-    alphas = sorted({alpha_matching(g).alpha for g in graphs})
-    return [extremal_verify(ClassSpec(k, a), jobs=jobs) for a in alphas]
+        return [extremal_verify(ClassSpec(k, alpha))]
+    classes: dict[int, list[Graph]] = {}
+    for g in enumerate_biblock(k):
+        classes.setdefault(alpha_matching(g).alpha, []).append(g)
+    return [_verify_class(k, a, classes[a]) for a in sorted(classes)]

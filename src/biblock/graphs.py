@@ -18,6 +18,7 @@ from .errors import (
     OddCycleError,
     OutOfRangeError,
     SelfLoopError,
+    TooLargeError,
 )
 
 
@@ -29,7 +30,7 @@ class Graph:
     shape-specific builders rather than calling this directly.
     """
 
-    __slots__ = ("k", "adj", "_edges", "_canon", "_dense")
+    __slots__ = ("k", "adj", "_edges", "_canon", "_dense", "_perron")
 
     def __init__(self, k: int, adj: tuple[int, ...]):
         self.k = k
@@ -37,6 +38,7 @@ class Graph:
         self._edges = None
         self._canon = None
         self._dense = None
+        self._perron = None
 
     @property
     def edges(self) -> frozenset[tuple[int, int]]:
@@ -405,12 +407,19 @@ def _canonical_rows(g: Graph) -> list[int]:
     return best
 
 
+CANONICAL_CAP = 25
+
+
 def canonical_form(g: Graph) -> CanonicalForm:
     """Canonical key via refinement plus backtracking over cells.
 
     Serialized as one byte for k followed by each row packed into three
-    bytes (k <= 24), so byte order equals row order.
+    bytes, so byte order equals row order.  A row holds at most k - 1
+    bits, so three bytes hold it exactly when k <= 25; larger graphs
+    raise TooLargeError.
     """
+    if g.k > CANONICAL_CAP:
+        raise TooLargeError(f"canonical forms capped at k <= {CANONICAL_CAP}, got {g.k}")
     if g._canon is None:
         rows = _canonical_rows(g)
         data = bytes([g.k]) + b"".join(r.to_bytes(3, "big") for r in rows)

@@ -16,6 +16,7 @@ a no-op at star centers and normalization cannot progress.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .blocks import BlockCutTree, decompose
 from .errors import (
@@ -32,7 +33,7 @@ from .errors import (
 )
 from .graphs import Graph, from_edge_list, is_complete_bipartite
 from .independence import alpha_bruteforce, alpha_matching, _is_independent
-from .spectral import DEFAULT_TOL, PerronPair, perron
+from .spectral import perron
 
 MERGE_BLOCKS = "MergeBlocks"
 REATTACH = "ReattachSubcase32"
@@ -188,7 +189,7 @@ def _edit(g: Graph, step: RewriteStep) -> Graph:
     return from_edge_list(g.k, kept + cross)
 
 
-def apply_step(g: Graph, step: RewriteStep, tol: float = DEFAULT_TOL) -> RewriteOutcome:
+def apply_step(g: Graph, step: RewriteStep) -> RewriteOutcome:
     """Run one rewrite and enforce its postconditions.
 
     Raises PostconditionViolationError if the vertex count changes, the
@@ -202,7 +203,7 @@ def apply_step(g: Graph, step: RewriteStep, tol: float = DEFAULT_TOL) -> Rewrite
         raise PostconditionViolationError("vertex count changed")
     alpha_before = alpha_matching(g).alpha
     if result == g:
-        pair = perron(g, tol)
+        pair = perron(g)
         return RewriteOutcome(
             result=result,
             delta_rho=0.0,
@@ -222,8 +223,8 @@ def apply_step(g: Graph, step: RewriteStep, tol: float = DEFAULT_TOL) -> Rewrite
         raise PostconditionViolationError(
             f"{step.case}: alpha changed {alpha_before} -> {alpha_after}"
         )
-    rho_before = perron(g, tol).rho
-    rho_after = perron(result, tol).rho
+    rho_before = perron(g).rho
+    rho_after = perron(result).rho
     if rho_after < rho_before - RHO_MARGIN:
         raise PostconditionViolationError(
             f"{step.case}: rho decreased {rho_before} -> {rho_after}"
@@ -372,7 +373,6 @@ def merge_blocks(
     f_id: int,
     h_id: int,
     orientation=None,
-    tol: float = DEFAULT_TOL,
 ) -> RewriteOutcome:
     """Replace two neighboring blocks with the complete bipartite graph
     on their united sides.
@@ -391,11 +391,11 @@ def merge_blocks(
                 "orientation places the cut vertex on both united sides"
             )
     step = _merge_step(f, h, v, "merge", block_ids=(f_id, h_id))
-    return apply_step(g, step, tol)
+    return apply_step(g, step)
 
 
 def reattach_subcase32(
-    g: Graph, t: BlockCutTree, f_id: int, h_id: int, tol: float = DEFAULT_TOL
+    g: Graph, t: BlockCutTree, f_id: int, h_id: int
 ) -> RewriteOutcome:
     """The three-step reattachment: drop the v-to-P edges, complete M
     against Q-v and P against N.
@@ -416,7 +416,7 @@ def reattach_subcase32(
     step = _directional_step(
         REATTACH, f, h, v, "two-block subcase 3.2", block_ids=(f_id, h_id)
     )
-    return apply_step(g, step, tol)
+    return apply_step(g, step)
 
 
 def split_partition_subcase22(
@@ -425,7 +425,6 @@ def split_partition_subcase22(
     f_id: int,
     h_id: int,
     n1_choice=None,
-    tol: float = DEFAULT_TOL,
 ) -> RewriteOutcome:
     """The five-step split: move N2 = N - N1 across to Q's side.
 
@@ -448,7 +447,7 @@ def split_partition_subcase22(
         SPLIT_PARTITION, f, h, v, "case 3 subcase 2.2", n1=n1,
         block_ids=(f_id, h_id),
     )
-    return apply_step(g, step, tol)
+    return apply_step(g, step)
 
 
 def _reduce_pair_valid(witness: frozenset[int], f: Unit, h: Unit, v: int) -> bool:
@@ -466,7 +465,6 @@ def reduce_block_index(
     bi_id: int,
     bj_id: int,
     witness=None,
-    tol: float = DEFAULT_TOL,
 ) -> RewriteOutcome:
     """Merge two of the >= 3 blocks at v, dropping its block index.
 
@@ -491,7 +489,7 @@ def reduce_block_index(
         f, h, v, "block-index reduction", block_ids=(bi_id, bj_id),
         kind=REDUCE_BLOCK_INDEX,
     )
-    return apply_step(g, step, tol)
+    return apply_step(g, step)
 
 
 # ---------------------------------------------------------------------------
@@ -512,16 +510,34 @@ def _unit_cut_vertices(u: Unit, inc: dict[int, list[int]]) -> list[int]:
     return [v for v in u.vertices if len(inc[v]) >= 2]
 
 
-class _PerronCache:
-    def __init__(self, g: Graph, tol: float):
-        self.g = g
-        self.tol = tol
-        self.pair: PerronPair | None = None
+def _leaf_neighbor(
+    units: list[Unit], inc: dict[int, list[int]], h_idx: int
+) -> tuple[int, int] | None:
+    """(F, v) when the unit H is a leaf whose one cut vertex v lies in H
+    and F only, else None."""
+    cuts = _unit_cut_vertices(units[h_idx], inc)
+    if len(cuts) != 1 or len(inc[cuts[0]]) != 2:
+        return None
+    (f_idx,) = (i for i in inc[cuts[0]] if i != h_idx)
+    return f_idx, cuts[0]
 
-    def get(self) -> PerronPair:
-        if self.pair is None:
-            self.pair = perron(self.g, self.tol)
-        return self.pair
+
+def _swapped_reattach(
+    units: list[Unit], inc: dict[int, list[int]], h_idx: int, witness: frozenset[int]
+) -> RewriteStep | None:
+    """Case 5 (the witness meets P but not Q, and m >= n + 2) when its
+    chain search finds no move: the reattachment with H and F swapped,
+    giving K(P + M - v, Q + N).  The witness holds M - v and misses Q and
+    N, so it stays independent."""
+    found = _leaf_neighbor(units, inc, h_idx)
+    if found is None:
+        return None
+    f_idx, v = found
+    h, f = units[h_idx], units[f_idx]
+    if witness & f.other_side(v) and not witness & f.side_of(v):
+        if len(h.side_of(v)) >= len(h.other_side(v)) + 2:
+            return _directional_step(REATTACH, h, f, v, "case 5 reattach")
+    return None
 
 
 def _leaf_case_step(
@@ -530,18 +546,13 @@ def _leaf_case_step(
     inc: dict[int, list[int]],
     h_idx: int,
     witness: frozenset[int],
-    cache: _PerronCache,
 ) -> RewriteStep | None:
     """Which move the case analysis prescribes at one leaf unit, if any."""
-    h = units[h_idx]
-    cuts = _unit_cut_vertices(h, inc)
-    if len(cuts) != 1:
+    found = _leaf_neighbor(units, inc, h_idx)
+    if found is None:
         return None
-    v = cuts[0]
-    if len(inc[v]) != 2:
-        return None
-    (f_idx,) = (i for i in inc[v] if i != h_idx)
-    f = units[f_idx]
+    f_idx, v = found
+    h, f = units[h_idx], units[f_idx]
     far_f, near_f = f.other_side(v), f.side_of(v)
     near_h, far_h = h.side_of(v), h.other_side(v)
     p, q = len(far_f), len(near_f)
@@ -568,7 +579,7 @@ def _leaf_case_step(
             (b_idx,) = (i for i in inc[u] if i != f_idx)
             return _merge_step(f, units[b_idx], u, "case 3 subcase 1")
         c = non_cut[0]
-        x = cache.get().X
+        x = perron(g).X
         b_n = float(x[min(far_h)])
         rest = sorted(near_h - {v})
         if rest:
@@ -584,7 +595,7 @@ def _leaf_case_step(
     # in_p and not in_q
     if n >= m or m == n + 1:
         return _merge_step(f, h, v, "case 4")
-    return _case5_resolve(g, units, inc, f_idx, v, witness, cache)
+    return _case5_resolve(g, units, inc, f_idx, v, witness)
 
 
 def _case5_resolve(
@@ -594,7 +605,6 @@ def _case5_resolve(
     f_idx: int,
     v: int,
     witness: frozenset[int],
-    cache: _PerronCache,
 ) -> RewriteStep | None:
     """Chain search of case 5: walk away from the leaf through witness-
     occupied far sides until a mergeable neighbor or a far leaf."""
@@ -616,7 +626,7 @@ def _case5_resolve(
                     return _merge_step(cur, d, w, "case 5 merge")
                 d_cuts = _unit_cut_vertices(d, inc)
                 if d_cuts == [w]:
-                    return _leaf_case_step(g, units, inc, d_idx, witness, cache)
+                    return _leaf_case_step(g, units, inc, d_idx, witness)
                 found = walk(d_idx, r_side)
                 if found is not None:
                     return found
@@ -625,15 +635,28 @@ def _case5_resolve(
     return walk(f_idx, f.other_side(v))
 
 
+def _index_reductions(pieces: list[Unit], v: int, witness: frozenset[int], ids=None):
+    """Index reductions at v for each pigeonhole-valid pair of the pieces
+    there: units, or standard blocks with their ids."""
+    for a, b in combinations(range(len(pieces)), 2):
+        if _reduce_pair_valid(witness, pieces[a], pieces[b], v):
+            yield _merge_step(
+                pieces[a], pieces[b], v, "block-index reduction",
+                block_ids=None if ids is None else (ids[a], ids[b]),
+                kind=REDUCE_BLOCK_INDEX,
+            )
+
+
 def find_applicable(
-    g: Graph, witness, t: BlockCutTree | None = None, tol: float = DEFAULT_TOL
+    g: Graph, witness, t: BlockCutTree | None = None
 ) -> list[RewriteStep]:
     """All rewrite steps whose case hypotheses hold for this witness.
 
     Ordered: unit-level index reductions, then leaf-directed steps, then
     index reductions over standard blocks not already covered (these are
-    the degenerate star merges).  Complete bipartite graphs, stars
-    included, admit no step.
+    the degenerate star merges), and last, only when no leaf unit yields
+    a step, the swapped reattachments of case 5.  Complete bipartite
+    graphs, stars included, admit no step.
     """
     if t is None:
         t = decompose(g)
@@ -644,7 +667,6 @@ def find_applicable(
         return []
     units = unit_decomposition(g, t)
     inc = _unit_incidence(units, g.k)
-    cache = _PerronCache(g, tol)
 
     steps: dict = {}
 
@@ -654,34 +676,21 @@ def find_applicable(
 
     for v in range(g.k):
         if len(inc[v]) >= 3:
-            ids = inc[v]
-            for a in range(len(ids)):
-                for b in range(a + 1, len(ids)):
-                    fu, hu = units[ids[a]], units[ids[b]]
-                    if _reduce_pair_valid(witness, fu, hu, v):
-                        put(
-                            _merge_step(
-                                fu, hu, v, "block-index reduction",
-                                kind=REDUCE_BLOCK_INDEX,
-                            )
-                        )
-    for h_idx in _leaf_units(units, inc):
-        put(_leaf_case_step(g, units, inc, h_idx, witness, cache))
+            for step in _index_reductions([units[i] for i in inc[v]], v, witness):
+                put(step)
+    leaves = _leaf_units(units, inc)
+    leaf_steps = [_leaf_case_step(g, units, inc, h_idx, witness) for h_idx in leaves]
+    for step in leaf_steps:
+        put(step)
     for v in sorted(t.cut_vertices):
         ids = t.incidence[v]
-        if len(ids) < 3:
-            continue
-        for a in range(len(ids)):
-            for b in range(a + 1, len(ids)):
-                fu, hu = _block_unit(t, ids[a]), _block_unit(t, ids[b])
-                if _reduce_pair_valid(witness, fu, hu, v):
-                    put(
-                        _merge_step(
-                            fu, hu, v, "block-index reduction",
-                            block_ids=(ids[a], ids[b]),
-                            kind=REDUCE_BLOCK_INDEX,
-                        )
-                    )
+        if len(ids) >= 3:
+            blocks = [_block_unit(t, i) for i in ids]
+            for step in _index_reductions(blocks, v, witness, ids):
+                put(step)
+    if all(step is None for step in leaf_steps):
+        for h_idx in leaves:
+            put(_swapped_reattach(units, inc, h_idx, witness))
     return list(steps.values())
 
 
@@ -690,7 +699,7 @@ def find_applicable(
 # ---------------------------------------------------------------------------
 
 
-def normalize(g: Graph, tol: float = DEFAULT_TOL) -> tuple[Graph, list[RewriteOutcome]]:
+def normalize(g: Graph) -> tuple[Graph, list[RewriteOutcome]]:
     """Carry a bi-block graph to the complete bipartite graph K(alpha, k-alpha).
 
     Applies index reductions until every cut vertex lies in two units,
@@ -712,13 +721,13 @@ def normalize(g: Graph, tol: float = DEFAULT_TOL) -> tuple[Graph, list[RewriteOu
             raise StuckError("step budget exceeded without reaching one block")
         witness = alpha_bruteforce(cur).witness
         chosen = None
-        for step in find_applicable(cur, witness, tol=tol):
+        for step in find_applicable(cur, witness):
             if _edit(cur, step) != cur:
                 chosen = step
                 break
         if chosen is None:
             raise StuckError("no applicable step with a real edge edit")
-        outcome = apply_step(cur, chosen, tol)
+        outcome = apply_step(cur, chosen)
         outcomes.append(outcome)
         cur = outcome.result
     return cur, outcomes

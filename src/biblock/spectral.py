@@ -52,13 +52,16 @@ def dense_adjacency(g: Graph) -> np.ndarray:
     return g._dense
 
 
-def perron(g: Graph, tol: float = DEFAULT_TOL) -> PerronPair:
+def perron(g: Graph) -> PerronPair:
     """Dominant eigenpair of the adjacency matrix of a connected graph.
 
     Deterministic all-ones start (never orthogonal to the Perron
     vector), shift by +1, Rayleigh-quotient eigenvalue estimate, and an
-    infinity-norm residual stop at ``tol * (rho + 1)``.
+    infinity-norm residual stop at ``DEFAULT_TOL * (rho + 1)``.  The
+    pair is cached on the graph, so each graph is solved once.
     """
+    if g._perron is not None:
+        return g._perron
     if g.k < 2:
         raise InvalidSizeError("perron needs k >= 2")
     if not is_connected(g):
@@ -69,15 +72,17 @@ def perron(g: Graph, tol: float = DEFAULT_TOL) -> PerronPair:
     for _ in range(cap):
         y = a @ x + x
         lam = float(x @ y)
-        if np.max(np.abs(y - lam * x)) <= tol * lam:
-            rho = lam - 1.0
+        if np.max(np.abs(y - lam * x)) <= DEFAULT_TOL * lam:
             if np.min(x) <= 0.0:
                 raise BiblockError("Perron vector came out non-positive")
             x = x.copy()
             x.setflags(write=False)
-            return PerronPair(rho, x)
+            g._perron = PerronPair(lam - 1.0, x)
+            return g._perron
         x = y / np.linalg.norm(y)
-    raise NoConvergenceError(f"no convergence within {cap} iterations (tol={tol})")
+    raise NoConvergenceError(
+        f"no convergence within {cap} iterations (tol={DEFAULT_TOL})"
+    )
 
 
 def rayleigh(g: Graph, x) -> float:
@@ -92,9 +97,9 @@ def rayleigh(g: Graph, x) -> float:
     return num / denom
 
 
-def degree_bounds(g: Graph, tol: float = DEFAULT_TOL) -> tuple[int, float, int]:
+def degree_bounds(g: Graph) -> tuple[int, float, int]:
     """(min degree, rho, max degree); rho must sit between the two."""
-    pair = perron(g, tol)
+    pair = perron(g)
     degs = [g.degree(v) for v in range(g.k)]
     lo, hi = min(degs), max(degs)
     if not lo - 1e-9 <= pair.rho <= hi + 1e-9:
@@ -124,13 +129,13 @@ class EdgeMonotonicityReport:
 
 
 def edge_monotonicity_check(
-    g: Graph, u: int, v: int, tol: float = DEFAULT_TOL, margin: float = 1e-10
+    g: Graph, u: int, v: int, margin: float = 1e-10
 ) -> EdgeMonotonicityReport:
     """Check that adding the non-edge uv strictly raises rho."""
     from .graphs import add_edge
 
-    before = perron(g, tol).rho
-    after = perron(add_edge(g, u, v), tol).rho
+    before = perron(g).rho
+    after = perron(add_edge(g, u, v)).rho
     if not after > before + margin:
         raise BiblockError(
             f"rho failed to increase: {before} -> {after} (margin {margin})"
@@ -236,37 +241,40 @@ def _class_value(x: np.ndarray, idx, label: str, tol: float) -> float:
     return float(np.mean(vals))
 
 
-def extract_two_block_data(
-    g: Graph, labeling: TwoBlockLabeling, pair: PerronPair, tol: float = CLASS_TOL
+def _two_block_data(
+    x: np.ndarray, rho: float, far_f, near_f, near_h, far_h, v: int, tol: float
 ) -> TwoBlockEigenData:
-    """Read the constant per-class eigenvector values off a Perron pair."""
-    if g.k != p_total(labeling):
-        raise SizeMismatchError("graph does not match the labeling")
-    x = pair.X
-    rho = pair.rho
-    a_p = _class_value(x, labeling.P, "P", tol)
-    a_n = _class_value(x, labeling.N, "N", tol)
-    x_v = float(x[labeling.v])
-    q_rest = labeling.Q[:-1]
-    m_rest = labeling.M[1:]
+    """Per-class values of K(P,Q)-v-K(M,N) read off a Perron vector, with
+    P = far_f, Q = near_f, M = near_h, N = far_h and v in both Q and M."""
+    a_p = _class_value(x, far_f, "P", tol)
+    a_n = _class_value(x, far_h, "N", tol)
+    x_v = float(x[v])
+    q_rest = [w for w in near_f if w != v]
+    m_rest = [w for w in near_h if w != v]
     if q_rest:
         a_q = _class_value(x, q_rest, "Q-v", tol)
     if m_rest:
         a_m = _class_value(x, m_rest, "M-v", tol)
     if not q_rest and not m_rest:
-        a_q = labeling.p * a_p / rho
+        a_q = len(far_f) * a_p / rho
         a_m = x_v - a_q
     elif not q_rest:
         a_q = x_v - a_m
     elif not m_rest:
         a_m = x_v - a_q
     return TwoBlockEigenData(
-        labeling.p, labeling.q, labeling.m, labeling.n, a_p, a_q, a_m, a_n, x_v
+        len(far_f), len(near_f), len(near_h), len(far_h), a_p, a_q, a_m, a_n, x_v
     )
 
 
-def p_total(lab: TwoBlockLabeling) -> int:
-    return lab.p + lab.q + lab.m + lab.n - 1
+def extract_two_block_data(
+    g: Graph, labeling: TwoBlockLabeling, pair: PerronPair, tol: float = CLASS_TOL
+) -> TwoBlockEigenData:
+    """Read the constant per-class eigenvector values off a Perron pair."""
+    lab = labeling
+    if g.k != lab.p + lab.q + lab.m + lab.n - 1:
+        raise SizeMismatchError("graph does not match the labeling")
+    return _two_block_data(pair.X, pair.rho, lab.P, lab.Q, lab.M, lab.N, lab.v, tol)
 
 
 def check_identities_I(data: TwoBlockEigenData, rho: float) -> dict[str, float]:
@@ -328,30 +336,8 @@ def two_block_data_from_graph(
     (v,) = shared
     if pair is None:
         pair = perron(g)
-    x = pair.X
-    rho = pair.rho
-    far_f = sorted(fblk.other_side(v))
-    near_f = sorted(fblk.side_of(v))
-    near_h = sorted(hblk.side_of(v))
-    far_h = sorted(hblk.other_side(v))
-    p, q, m, n = len(far_f), len(near_f), len(near_h), len(far_h)
-    a_p = _class_value(x, far_f, "P", tol)
-    a_n = _class_value(x, far_h, "N", tol)
-    x_v = float(x[v])
-    q_rest = [w for w in near_f if w != v]
-    m_rest = [w for w in near_h if w != v]
-    if q_rest:
-        a_q = _class_value(x, q_rest, "Q-v", tol)
-    if m_rest:
-        a_m = _class_value(x, m_rest, "M-v", tol)
-    if not q_rest and not m_rest:
-        a_q = p * a_p / rho
-        a_m = x_v - a_q
-    elif not q_rest:
-        a_q = x_v - a_m
-    elif not m_rest:
-        a_m = x_v - a_q
-    return TwoBlockEigenData(p, q, m, n, a_p, a_q, a_m, a_n, x_v)
+    sides = (fblk.other_side(v), fblk.side_of(v), hblk.side_of(v), hblk.other_side(v))
+    return _two_block_data(pair.X, pair.rho, *map(sorted, sides), v, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -462,10 +448,9 @@ def check_identities_J(
     x_v = x_c + b_m."""
     if t is None:
         t = decompose(g)
-    _validate_leaf_config(g, t, config)
+    data = leaf_eigen_data(g, config, pair, t, tol)
     if pair is None:
         pair = perron(g)
-    data = leaf_eigen_data(g, config, pair, t, tol)
     x = pair.X
     rho = pair.rho
     fblk = t.blocks[config.f_id]

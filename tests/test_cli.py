@@ -38,7 +38,7 @@ class TestBasicCommands:
         assert out == "alpha=2\nwitness=0 2\n"
 
     def test_rho_k23(self, capsys):
-        code, out, _ = run_cli(capsys, "rho", "--input", K23, "--tol", "1e-12")
+        code, out, _ = run_cli(capsys, "rho", "--input", K23)
         assert code == 0
         assert out == "rho=2.44948974278\n"
 
@@ -81,14 +81,20 @@ class TestIdentitiesCommand:
         assert payload["two_block"] is not None
         assert payload["leaf_configs"]
 
-    def test_loose_solver_fails_band(self, capsys, tmp_path):
-        from biblock import build_two_block, format_edge_list
+    def test_loose_solver_fails_band(self, capsys, tmp_path, monkeypatch):
+        from biblock import build_two_block, format_edge_list, spectral
 
         path = tmp_path / "g.edges"
         path.write_text(format_edge_list(build_two_block(3, 2, 2, 4)))
+        solve = spectral.perron
+
+        def off_by_1e3(g):
+            pair = solve(g)
+            return spectral.PerronPair(pair.rho + 1e-3, pair.X)
+
+        monkeypatch.setattr(spectral, "perron", off_by_1e3)
         code, out, _ = run_cli(
-            capsys, "identities", "--input", str(path), "--tol", "1e-2",
-            "--format", "json",
+            capsys, "identities", "--input", str(path), "--format", "json"
         )
         payload = json.loads(out)
         assert payload["pass"] is False
@@ -190,8 +196,7 @@ class TestEnumerateCommand:
 class TestVerifyTheoremCommand:
     def test_k6_reports(self, capsys):
         code, out, _ = run_cli(
-            capsys, "verify-theorem", "--k", "6", "--format", "json",
-            "--jobs", "1",
+            capsys, "verify-theorem", "--k", "6", "--format", "json"
         )
         assert code == 0
         payload = json.loads(out)
@@ -204,12 +209,10 @@ class TestVerifyTheoremCommand:
 
     def test_deterministic_output(self, capsys):
         _, first, _ = run_cli(
-            capsys, "verify-theorem", "--k", "5", "--format", "json",
-            "--jobs", "1",
+            capsys, "verify-theorem", "--k", "5", "--format", "json"
         )
         _, second, _ = run_cli(
-            capsys, "verify-theorem", "--k", "5", "--format", "json",
-            "--jobs", "1",
+            capsys, "verify-theorem", "--k", "5", "--format", "json"
         )
         assert first == second
 
@@ -221,9 +224,10 @@ class TestExitCodes:
         assert err
 
     def test_unknown_flag_exits_two(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["alpha", "--bogus"])
-        assert exc.value.code == 2
+        for flag in ("--bogus", "--tol", "--jobs", "--seed"):
+            with pytest.raises(SystemExit) as exc:
+                main(["alpha", flag, "1"])
+            assert exc.value.code == 2
 
     def test_non_bipartite_rho_is_fine_but_alpha_errors(self, capsys, tmp_path):
         path = tmp_path / "triangle.edges"

@@ -24,6 +24,7 @@ from biblock.errors import (
     OddCycleError,
     OutOfRangeError,
     SelfLoopError,
+    TooLargeError,
 )
 from biblock.graphs import relabel
 
@@ -185,6 +186,18 @@ class TestCanonicalForms:
                 perm = list(range(g.k))
                 rng.shuffle(perm)
                 assert canonical_form(relabel(g, perm)) == ref
+
+    def test_k25_is_the_largest_packable_size(self):
+        star = complete_bipartite(1, 24)
+        assert is_isomorphic(star, complete_bipartite(24, 1))
+        assert len(canonical_form(star).data) == 1 + 3 * 25
+        assert canonical_form(path(25)) != canonical_form(star)
+
+    def test_k26_refused(self):
+        with pytest.raises(TooLargeError):
+            canonical_form(complete_bipartite(1, 25))
+        with pytest.raises(TooLargeError):
+            canonical_form(path(26))
 
     def test_hex_is_lowercase(self):
         h = canonical_form(path(3)).hex()

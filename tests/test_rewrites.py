@@ -47,6 +47,16 @@ def path(n):
     return from_edge_list(n, [(i, i + 1) for i in range(n - 1)])
 
 
+def case5_tree():
+    """A 13-vertex tree whose case-5 leaf star has no chain-search move,
+    so normalization needs the swapped reattachment."""
+    return from_edge_list(
+        13,
+        [(0, 5), (1, 5), (2, 5), (3, 5), (3, 7), (4, 5), (4, 8),
+         (4, 9), (6, 7), (6, 11), (6, 12), (7, 10)],
+    )
+
+
 def spider():
     return from_edge_list(7, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)])
 
@@ -330,6 +340,17 @@ class TestFindApplicable:
         steps = find_applicable(g, self.lex_witness(g))
         assert any(s.kind == REDUCE_BLOCK_INDEX for s in steps)
 
+    def test_swapped_reattach_offered_last_when_no_leaf_step(self):
+        _, trace = normalize(case5_tree())
+        g = trace[1].result
+        steps = find_applicable(g, self.lex_witness(g))
+        swapped = [s.case == "case 5 reattach" for s in steps]
+        # Only no-op index reductions come first; the swapped
+        # reattachments close the list and are the only real edits.
+        assert swapped == sorted(swapped) and swapped[-1]
+        assert all((_edit(g, s) != g) == sw for s, sw in zip(steps, swapped))
+        assert all(s.kind == REATTACH for s, sw in zip(steps, swapped) if sw)
+
     def test_bad_witness_rejected(self):
         g = build_two_block(2, 2, 2, 2)
         with pytest.raises(NotMaximumError):
@@ -439,6 +460,14 @@ class TestNormalize:
         final, trace = normalize(fig1)
         assert is_isomorphic(final, complete_bipartite(13, 8))
         rhos = [trace[0].rho_before] + [o.rho_after for o in trace]
+        assert all(b >= a - 1e-10 for a, b in zip(rhos, rhos[1:]))
+
+    def test_case5_tree_reaches_k94(self):
+        g = case5_tree()
+        final, trace = normalize(g)
+        assert is_isomorphic(final, complete_bipartite(9, 4))
+        assert all(o.alpha_before == o.alpha_after == 9 for o in trace)
+        rhos = [perron(g).rho] + [o.rho_after for o in trace]
         assert all(b >= a - 1e-10 for a, b in zip(rhos, rhos[1:]))
 
     def test_sweep_small(self, biblock_by_k):

@@ -34,7 +34,7 @@ from biblock.errors import (
     SizeMismatchError,
     ZeroVectorError,
 )
-from biblock.spectral import PerronPair, two_block_data_from_graph
+from biblock.spectral import DEFAULT_TOL, PerronPair, two_block_data_from_graph
 
 
 def path(n):
@@ -61,13 +61,12 @@ class TestPerron:
 
     def test_residual_contract(self):
         g = build_two_block(3, 2, 2, 5)
-        tol = 1e-12
-        pair = perron(g, tol)
+        pair = perron(g)
         a = np.zeros((g.k, g.k))
         for u, v in g.edges:
             a[u, v] = a[v, u] = 1.0
         resid = np.max(np.abs(a @ pair.X - pair.rho * pair.X))
-        assert resid <= tol * (pair.rho + 1)
+        assert resid <= DEFAULT_TOL * (pair.rho + 1)
 
     def test_two_block_2222(self):
         assert abs(perron(build_two_block(2, 2, 2, 2)).rho - math.sqrt(6)) < 1e-9
@@ -80,9 +79,24 @@ class TestPerron:
         with pytest.raises(DisconnectedError):
             perron(from_edge_list(4, [(0, 1), (2, 3)]))
 
-    def test_unreachable_tolerance_reports_no_convergence(self):
+    def test_positive_on_k10_10_with_long_pendant_path(self):
+        # k = 45; a dense eigensolver returns non-positive entries here,
+        # deep along the path where the Perron vector decays.
+        pairs = [(u, v) for u in range(10) for v in range(10, 20)]
+        pairs += [(0, 20)] + [(w, w + 1) for w in range(20, 44)]
+        pair = perron(from_edge_list(45, pairs))
+        assert np.all(pair.X > 0)
+
+    def test_pair_cached_on_graph(self):
+        g = path(5)
+        assert perron(g) is perron(g)
+
+    def test_unreachable_tolerance_reports_no_convergence(self, monkeypatch):
+        from biblock import spectral
+
+        monkeypatch.setattr(spectral, "DEFAULT_TOL", -1.0)
         with pytest.raises(NoConvergenceError):
-            perron(path(3), tol=-1.0)
+            perron(path(3))
 
 
 class TestRayleigh:
