@@ -62,45 +62,56 @@ class BlockCutTree:
 
 
 def _biconnected_edge_components(g: Graph) -> list[list[tuple[int, int]]]:
-    """Lowpoint DFS returning the edge set of each biconnected component."""
+    """Hopcroft-Tarjan lowpoint DFS returning the edge set of each
+    biconnected component.
+
+    The DFS keeps an explicit stack of (vertex, parent, neighbor
+    iterator) frames, so its depth is not bounded by the interpreter's
+    recursion limit.
+    """
     disc = [-1] * g.k
     low = [0] * g.k
-    stack: list[tuple[int, int]] = []
+    edges: list[tuple[int, int]] = []
     comps: list[list[tuple[int, int]]] = []
-    timer = 0
-
-    def dfs(u: int, parent: int) -> None:
-        nonlocal timer
-        disc[u] = low[u] = timer
-        timer += 1
-        for v in g.neighbors(u):
+    disc[0] = low[0] = 0
+    timer = 1
+    frames = [(0, -1, iter(g.neighbors(0)))]
+    while frames:
+        u, parent, nbrs = frames[-1]
+        for v in nbrs:
             if disc[v] == -1:
-                stack.append((u, v))
-                dfs(v, u)
-                low[u] = min(low[u], low[v])
-                if low[v] >= disc[u]:
-                    comp = []
-                    while True:
-                        e = stack.pop()
-                        comp.append(e)
-                        if e == (u, v):
-                            break
-                    comps.append(comp)
-            elif v != parent and disc[v] < disc[u]:
-                stack.append((u, v))
+                edges.append((u, v))
+                disc[v] = low[v] = timer
+                timer += 1
+                frames.append((v, u, iter(g.neighbors(v))))
+                break
+            if v != parent and disc[v] < disc[u]:
+                edges.append((u, v))
                 low[u] = min(low[u], disc[v])
-
-    if g.k > 0:
-        dfs(0, -1)
+        else:
+            frames.pop()
+            if parent == -1:
+                continue
+            low[parent] = min(low[parent], low[u])
+            if low[u] >= disc[parent]:
+                comp = []
+                while True:
+                    e = edges.pop()
+                    comp.append(e)
+                    if e == (parent, u):
+                        break
+                comps.append(comp)
     return comps
 
 
 def decompose(g: Graph) -> BlockCutTree:
-    """Block-cut tree of a connected graph.
+    """Block-cut tree of a connected graph, cached on the graph.
 
     Blocks are sorted by their vertex sets so ids are reproducible; cut
     vertices are exactly the vertices lying in two or more blocks.
     """
+    if g._blocks is not None:
+        return g._blocks
     if not is_connected(g):
         raise DisconnectedError("decompose requires a connected graph")
     comps = _biconnected_edge_components(g)
@@ -141,21 +152,36 @@ def decompose(g: Graph) -> BlockCutTree:
         for i in range(len(ids)):
             for j in range(i + 1, len(ids)):
                 adjacency.add((ids[i], ids[j]))
-    return BlockCutTree(
+    g._blocks = BlockCutTree(
         graph=g,
         blocks=tuple(blocks),
         cut_vertices=cut,
         incidence={v: tuple(ids) for v, ids in incidence.items()},
         block_adjacency=frozenset(adjacency),
     )
+    return g._blocks
 
 
 def is_bi_block(g: Graph) -> bool:
-    """True iff g is connected and every block is complete bipartite."""
+    """True iff g is connected and every block is complete bipartite.
+
+    Builds no block-cut tree.  A bi-block graph is bipartite, and each
+    block of a bipartite graph inherits its two sides A and B from the
+    graph's 2-coloring, so the block is complete bipartite exactly when
+    its edge component has |A| * |B| edges.
+    """
     if not is_connected(g):
         return False
-    t = decompose(g)
-    return all(blk.is_complete_bipartite for blk in t.blocks)
+    try:
+        side_m = bipartition(g).M
+    except OddCycleError:
+        return False
+    for comp in _biconnected_edge_components(g):
+        vs = {u for e in comp for u in e}
+        a = len(vs & side_m)
+        if len(comp) != a * (len(vs) - a):
+            return False
+    return True
 
 
 def block_index(t: BlockCutTree, v: int) -> int:
@@ -201,12 +227,13 @@ class PeelResult(NamedTuple):
     old_to_new: dict[int, int]
 
 
-def peel_leaf_block(g: Graph, t: BlockCutTree, h_id: int) -> PeelResult:
+def peel_leaf_block(g: Graph, h_id: int) -> PeelResult:
     """Remove a leaf block except its cut vertex, relabeling densely.
 
     The label map is returned alongside so callers can trace surviving
     vertices.
     """
+    t = decompose(g)
     if len(t.blocks) == 1:
         raise SingleBlockError("cannot peel the only block")
     blk = t.blocks[h_id]
@@ -221,6 +248,7 @@ def peel_leaf_block(g: Graph, t: BlockCutTree, h_id: int) -> PeelResult:
 
 def to_report(t: BlockCutTree) -> dict:
     """Serializable record of a decomposition (CLI `decompose` payload)."""
+    leaves = set(leaf_blocks(t))
     return {
         "k": t.graph.k,
         "blocks": [
@@ -232,7 +260,7 @@ def to_report(t: BlockCutTree) -> dict:
                     if blk.parts is not None
                     else None
                 ),
-                "is_leaf": bid in set(leaf_blocks(t)),
+                "is_leaf": bid in leaves,
             }
             for bid, blk in enumerate(t.blocks)
         ],

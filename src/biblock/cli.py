@@ -124,11 +124,10 @@ def _cmd_rho(args) -> int:
 
 
 def _identity_payload(g: graphs.Graph) -> dict:
-    t = blocks_mod.decompose(g)
-    pair = spectral.perron(g)
     residuals = []
     two_block = None
-    data = spectral.two_block_data_from_graph(g, pair, t)
+    data = spectral.two_block_data_from_graph(g)
+    pair = spectral.perron(g)
     if data is not None:
         res = spectral.check_identities_I(data, pair.rho)
         residuals.extend(res.values())
@@ -140,8 +139,8 @@ def _identity_payload(g: graphs.Graph) -> dict:
             "residuals": {k: _fmt(v) for k, v in sorted(res.items())},
         }
     leaf_reports = []
-    for config in spectral.find_leaf_configs(g, t):
-        res = spectral.check_identities_J(g, config, pair, t)
+    for config in spectral.find_leaf_configs(g):
+        res = spectral.check_identities_J(g, config)
         residuals.extend(res.values())
         leaf_reports.append(
             {
@@ -199,26 +198,25 @@ def _outcome_payload(outcome: rewrites.RewriteOutcome) -> dict:
 
 def _cmd_rewrite(args) -> int:
     g = _read_graph(args.input)
-    t = blocks_mod.decompose(g)
     if args.kind == "reduce":
         if args.vertex is None or args.bi_block is None or args.bj_block is None:
             raise BiblockError("reduce needs --vertex, --bi-block, --bj-block")
         outcome = rewrites.reduce_block_index(
-            g, t, args.vertex, args.bi_block, args.bj_block
+            g, args.vertex, args.bi_block, args.bj_block
         )
     else:
         if args.f_block is None or args.h_block is None:
             raise BiblockError(f"{args.kind} needs --f-block and --h-block")
         if args.kind == "merge":
-            outcome = rewrites.merge_blocks(g, t, args.f_block, args.h_block)
+            outcome = rewrites.merge_blocks(g, args.f_block, args.h_block)
         elif args.kind == "reattach":
-            outcome = rewrites.reattach_subcase32(g, t, args.f_block, args.h_block)
+            outcome = rewrites.reattach_subcase32(g, args.f_block, args.h_block)
         else:
             n1 = None
             if args.n1:
                 n1 = [int(s) for s in args.n1.split(",")]
             outcome = rewrites.split_partition_subcase22(
-                g, t, args.f_block, args.h_block, n1_choice=n1
+                g, args.f_block, args.h_block, n1_choice=n1
             )
     payload = _outcome_payload(outcome)
     if args.format == "json":

@@ -6,7 +6,7 @@ class BiblockError(Exception):
 
 
 class OutOfRangeError(BiblockError, ValueError):
-    """A vertex label is negative or >= the vertex count."""
+    """A vertex label or block id is negative or >= the vertex or block count."""
 
 
 class SelfLoopError(BiblockError, ValueError):

@@ -27,10 +27,15 @@ class Graph:
 
     Instances are immutable and hashable; bit v of ``adj[u]`` is set iff
     uv is an edge.  Construct through :func:`from_edge_list` or the
-    shape-specific builders rather than calling this directly.
+    shape-specific builders rather than calling this directly.  The
+    objects derived from a graph (edge set, canonical form, dense matrix,
+    Perron pair, block-cut tree, alpha) are cached in private slots by
+    the functions that compute them, each set once and only on success.
     """
 
-    __slots__ = ("k", "adj", "_edges", "_canon", "_dense", "_perron")
+    __slots__ = (
+        "k", "adj", "_edges", "_canon", "_dense", "_perron", "_blocks", "_alpha"
+    )
 
     def __init__(self, k: int, adj: tuple[int, ...]):
         self.k = k
@@ -39,6 +44,8 @@ class Graph:
         self._canon = None
         self._dense = None
         self._perron = None
+        self._blocks = None
+        self._alpha = None
 
     @property
     def edges(self) -> frozenset[tuple[int, int]]:
@@ -98,12 +105,11 @@ class Graph:
 
 
 def _bits(mask: int):
-    v = 0
+    """Set bit positions in ascending order, one step per set bit."""
     while mask:
-        if mask & 1:
-            yield v
-        mask >>= 1
-        v += 1
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def from_edge_list(k: int, pairs) -> Graph:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .blocks import BlockCutTree, decompose, peel_leaf_block
+from .blocks import decompose, peel_leaf_block
 from .errors import (
     InvalidSizeError,
     NotBiBlockError,
@@ -113,8 +113,10 @@ def alpha_matching(g: Graph) -> AlphaResult:
 
     The witness comes from the alternating-path vertex-cover
     construction; it is a valid maximum independent set but not a
-    canonical one.
+    canonical one.  The result is cached on the graph.
     """
+    if g._alpha is not None:
+        return g._alpha
     bp = bipartition(g)
     left = sorted(bp.M)
     match_l = _hopcroft_karp(g, left)
@@ -139,7 +141,8 @@ def alpha_matching(g: Graph) -> AlphaResult:
     alpha = g.k - len(match_l)
     assert len(witness) == alpha, "Koenig construction out of balance"
     assert _is_independent(g, witness), "Koenig witness not independent"
-    return AlphaResult(alpha, witness)
+    g._alpha = AlphaResult(alpha, witness)
+    return g._alpha
 
 
 def _is_independent(g: Graph, vertices) -> bool:
@@ -264,20 +267,17 @@ def maximum_independent_sets(g: Graph) -> list[frozenset[int]]:
 # ---------------------------------------------------------------------------
 
 
-def classify_leaf(
-    g: Graph, h_id: int, witness, t: BlockCutTree | None = None
-) -> LeafCase:
+def classify_leaf(g: Graph, h_id: int, witness) -> LeafCase:
     """Classify how a maximum independent set meets one leaf block.
 
     Either the cut vertex is in the set, or the set's restriction to the
     peeled graph is / is not maximum there.
     """
     witness = frozenset(witness)
-    if t is None:
-        t = decompose(g)
+    t = decompose(g)
     if not _is_independent(g, witness) or len(witness) != alpha_matching(g).alpha:
         raise NotMaximumError("witness is not a maximum independent set")
-    peeled, old_to_new = peel_leaf_block(g, t, h_id)
+    peeled, old_to_new = peel_leaf_block(g, h_id)
     blk = t.blocks[h_id]
     (v,) = blk.vertices & t.cut_vertices
     restriction = witness & set(old_to_new)
@@ -308,14 +308,13 @@ class PropAlphaReport:
     ok: bool
 
 
-def verify_prop_alpha(g: Graph, t: BlockCutTree | None = None) -> PropAlphaReport:
+def verify_prop_alpha(g: Graph) -> PropAlphaReport:
     """Check alpha(G) - alpha(G-H) in {m, m-1} for every leaf block H.
 
     Part sizes are normalized so m >= n.  Any violation flips ``ok``;
     none is ever expected.
     """
-    if t is None:
-        t = decompose(g)
+    t = decompose(g)
     if len(t.blocks) < 2:
         raise SingleBlockError("peel-difference check needs >= 2 blocks")
     if not all(blk.is_complete_bipartite for blk in t.blocks):
@@ -325,7 +324,7 @@ def verify_prop_alpha(g: Graph, t: BlockCutTree | None = None) -> PropAlphaRepor
     for bid, blk in enumerate(t.blocks):
         if len(blk.vertices & t.cut_vertices) != 1:
             continue
-        peeled, _ = peel_leaf_block(g, t, bid)
+        peeled, _ = peel_leaf_block(g, bid)
         alpha_gh = alpha_matching(peeled).alpha
         sizes = sorted((len(blk.parts[0]), len(blk.parts[1])), reverse=True)
         m, n = sizes

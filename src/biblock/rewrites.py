@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .blocks import BlockCutTree, decompose
+from .blocks import BlockCutTree, decompose, is_bi_block
 from .errors import (
     BadSplitError,
     BlockIndexTooSmallError,
@@ -27,20 +27,19 @@ from .errors import (
     NotNeighborsError,
     NoValidPairError,
     OrientationMismatchError,
+    OutOfRangeError,
     PostconditionViolationError,
     PreconditionFailedError,
     StuckError,
 )
 from .graphs import Graph, from_edge_list, is_complete_bipartite
 from .independence import alpha_bruteforce, alpha_matching, _is_independent
-from .spectral import perron
+from .spectral import RHO_MARGIN, perron
 
 MERGE_BLOCKS = "MergeBlocks"
 REATTACH = "ReattachSubcase32"
 SPLIT_PARTITION = "SplitPartitionSubcase22"
 REDUCE_BLOCK_INDEX = "ReduceBlockIndex"
-
-RHO_MARGIN = 1e-10
 
 
 @dataclass(frozen=True)
@@ -117,17 +116,15 @@ class Unit:
         return self.side_b if v in self.side_a else self.side_a
 
 
-def unit_decomposition(g: Graph, t: BlockCutTree | None = None) -> list[Unit]:
+def unit_decomposition(g: Graph) -> list[Unit]:
     """Blocks of g with stars around a common center coalesced.
 
     Processes centers in ascending label order: at each vertex, all
     units whose side there is the bare singleton merge into one star.
     The result partitions the edge set into complete bipartite units.
     """
-    if t is None:
-        t = decompose(g)
     units: list[Unit] = []
-    for blk in t.blocks:
+    for blk in decompose(g).blocks:
         if blk.parts is None:
             raise NotBiBlockError("graph has a non-complete-bipartite block")
         units.append(Unit(blk.parts[0], blk.parts[1]))
@@ -196,8 +193,6 @@ def apply_step(g: Graph, step: RewriteStep) -> RewriteOutcome:
     independence number moves, the result stops being bi-block, or the
     spectral radius drops by more than the numerical margin.
     """
-    from .blocks import is_bi_block
-
     result = _edit(g, step)
     if result.k != g.k:
         raise PostconditionViolationError("vertex count changed")
@@ -294,29 +289,29 @@ def _directional_step(
 
 
 def _block_unit(t: BlockCutTree, bid: int) -> Unit:
+    if not 0 <= bid < len(t.blocks):
+        raise OutOfRangeError(f"block id {bid} not in 0..{len(t.blocks) - 1}")
     blk = t.blocks[bid]
     if blk.parts is None:
         raise NotBiBlockError(f"block {bid} is not complete bipartite")
     return Unit(blk.parts[0], blk.parts[1])
 
 
-def _unit_of_block(units: list[Unit], t: BlockCutTree, bid: int) -> Unit:
-    """The unit holding a block's edges (the block itself, or its star)."""
-    a, b = next(iter(t.blocks[bid].vertices)), None
-    for u, w in t.graph.edges:
-        if u in t.blocks[bid].vertices and w in t.blocks[bid].vertices:
-            a, b = u, w
-            break
+def _unit_of_block(units: list[Unit], blk: Unit) -> Unit:
+    """The unit holding a complete bipartite block's edges (the block
+    itself, or its star), found through the edge joining the two sides'
+    smallest labels."""
+    a, b = min(blk.side_a), min(blk.side_b)
     for unit in units:
         if (a in unit.side_a and b in unit.side_b) or (
             a in unit.side_b and b in unit.side_a
         ):
             return unit
-    raise NotBiBlockError(f"block {bid} not covered by any unit")
+    raise NotBiBlockError(f"block on {sorted(blk.vertices)} not covered by any unit")
 
 
 def _resolve_pair(
-    g: Graph, t: BlockCutTree, f_id: int, h_id: int, leaf_pair: bool
+    g: Graph, f_id: int, h_id: int, leaf_pair: bool
 ) -> tuple[Unit, Unit, int]:
     """Interpret two block ids as a unit pair sharing one cut vertex.
 
@@ -325,6 +320,7 @@ def _resolve_pair(
     id falls back to its containing star-coalesced unit, which is how a
     configuration like K(P, Q) with |P| = 1 is addressed at all.
     """
+    t = decompose(g)
     f_raw, h_raw = _block_unit(t, f_id), _block_unit(t, h_id)
     shared = f_raw.vertices & h_raw.vertices
     raw_ok = f_id != h_id and len(shared) == 1
@@ -336,9 +332,9 @@ def _resolve_pair(
         )
     if raw_ok:
         return f_raw, h_raw, next(iter(shared))
-    units = unit_decomposition(g, t)
-    fu = _unit_of_block(units, t, f_id)
-    hu = _unit_of_block(units, t, h_id)
+    units = unit_decomposition(g)
+    fu = _unit_of_block(units, f_raw)
+    hu = _unit_of_block(units, h_raw)
     if fu == hu:
         raise NotNeighborsError(
             f"blocks {f_id} and {h_id} lie in the same coalesced star"
@@ -367,13 +363,7 @@ def _resolve_pair(
 # ---------------------------------------------------------------------------
 
 
-def merge_blocks(
-    g: Graph,
-    t: BlockCutTree,
-    f_id: int,
-    h_id: int,
-    orientation=None,
-) -> RewriteOutcome:
+def merge_blocks(g: Graph, f_id: int, h_id: int, orientation=None) -> RewriteOutcome:
     """Replace two neighboring blocks with the complete bipartite graph
     on their united sides.
 
@@ -381,7 +371,7 @@ def merge_blocks(
     explicit orientation naming any other pairing raises
     OrientationMismatchError.
     """
-    f, h, v = _resolve_pair(g, t, f_id, h_id, leaf_pair=False)
+    f, h, v = _resolve_pair(g, f_id, h_id, leaf_pair=False)
     if orientation is not None:
         s_f, s_h = frozenset(orientation[0]), frozenset(orientation[1])
         if s_f not in (f.side_a, f.side_b) or s_h not in (h.side_a, h.side_b):
@@ -394,16 +384,14 @@ def merge_blocks(
     return apply_step(g, step)
 
 
-def reattach_subcase32(
-    g: Graph, t: BlockCutTree, f_id: int, h_id: int
-) -> RewriteOutcome:
+def reattach_subcase32(g: Graph, f_id: int, h_id: int) -> RewriteOutcome:
     """The three-step reattachment: drop the v-to-P edges, complete M
     against Q-v and P against N.
 
     Preconditions (reported individually): H a leaf piece at the shared
     cut vertex v with exactly two pieces there, q > p, n > m, p < q-1.
     """
-    f, h, v = _resolve_pair(g, t, f_id, h_id, leaf_pair=True)
+    f, h, v = _resolve_pair(g, f_id, h_id, leaf_pair=True)
     p, q = len(f.other_side(v)), len(f.side_of(v))
     m, n = len(h.side_of(v)), len(h.other_side(v))
     for ok, label in (
@@ -420,17 +408,13 @@ def reattach_subcase32(
 
 
 def split_partition_subcase22(
-    g: Graph,
-    t: BlockCutTree,
-    f_id: int,
-    h_id: int,
-    n1_choice=None,
+    g: Graph, f_id: int, h_id: int, n1_choice=None
 ) -> RewriteOutcome:
     """The five-step split: move N2 = N - N1 across to Q's side.
 
     N1 defaults to the m smallest labels of N and must have size m < n.
     """
-    f, h, v = _resolve_pair(g, t, f_id, h_id, leaf_pair=True)
+    f, h, v = _resolve_pair(g, f_id, h_id, leaf_pair=True)
     m, n = len(h.side_of(v)), len(h.other_side(v))
     if not n > m:
         raise PreconditionFailedError(f"n > m fails ({n} <= {m})")
@@ -458,29 +442,22 @@ def _reduce_pair_valid(witness: frozenset[int], f: Unit, h: Unit, v: int) -> boo
     return near_free or far_free
 
 
-def reduce_block_index(
-    g: Graph,
-    t: BlockCutTree,
-    v: int,
-    bi_id: int,
-    bj_id: int,
-    witness=None,
-) -> RewriteOutcome:
+def reduce_block_index(g: Graph, v: int, bi_id: int, bj_id: int) -> RewriteOutcome:
     """Merge two of the >= 3 blocks at v, dropping its block index.
 
-    The chosen pair must satisfy the pigeonhole rule against a maximum
-    independent set (the lexicographically smallest one by default).
-    Merging two pendant edges is a valid degenerate no-op.
+    The chosen pair must satisfy the pigeonhole rule against the
+    lexicographically smallest maximum independent set.  Merging two
+    pendant edges is a valid degenerate no-op.
     """
+    g._check_vertex(v)
+    t = decompose(g)
     ids = t.incidence[v]
     if len(ids) < 3:
         raise BlockIndexTooSmallError(f"block index of {v} is {len(ids)}, need >= 3")
     if bi_id not in ids or bj_id not in ids or bi_id == bj_id:
         raise NoValidPairError(f"blocks {bi_id}, {bj_id} are not distinct blocks at {v}")
     f, h = _block_unit(t, bi_id), _block_unit(t, bj_id)
-    if witness is None:
-        witness = alpha_bruteforce(g).witness
-    witness = frozenset(witness)
+    witness = alpha_bruteforce(g).witness
     if not _reduce_pair_valid(witness, f, h, v):
         raise NoValidPairError(
             f"witness meets opposite sides of blocks {bi_id} and {bj_id} at {v}"
@@ -647,9 +624,7 @@ def _index_reductions(pieces: list[Unit], v: int, witness: frozenset[int], ids=N
             )
 
 
-def find_applicable(
-    g: Graph, witness, t: BlockCutTree | None = None
-) -> list[RewriteStep]:
+def find_applicable(g: Graph, witness) -> list[RewriteStep]:
     """All rewrite steps whose case hypotheses hold for this witness.
 
     Ordered: unit-level index reductions, then leaf-directed steps, then
@@ -658,14 +633,13 @@ def find_applicable(
     a step, the swapped reattachments of case 5.  Complete bipartite
     graphs, stars included, admit no step.
     """
-    if t is None:
-        t = decompose(g)
+    t = decompose(g)
     witness = frozenset(witness)
     if not _is_independent(g, witness) or len(witness) != alpha_matching(g).alpha:
         raise NotMaximumError("witness is not a maximum independent set")
     if is_complete_bipartite(g):
         return []
-    units = unit_decomposition(g, t)
+    units = unit_decomposition(g)
     inc = _unit_incidence(units, g.k)
 
     steps: dict = {}
@@ -707,8 +681,6 @@ def normalize(g: Graph) -> tuple[Graph, list[RewriteOutcome]]:
     steps are skipped; every applied step changes the edge set, so the
     unit count strictly decreases and the loop terminates.
     """
-    from .blocks import is_bi_block
-
     if g.k == 1:
         return g, []
     if not is_bi_block(g):

@@ -25,10 +25,11 @@ from .errors import (
     SizeMismatchError,
     ZeroVectorError,
 )
-from .graphs import Graph, from_edge_list, is_connected
+from .graphs import Graph, add_edge, from_edge_list, is_connected
 
 DEFAULT_TOL = 1e-12
 CLASS_TOL = 1e-9
+RHO_MARGIN = 1e-10
 
 
 @dataclass(frozen=True)
@@ -128,17 +129,14 @@ class EdgeMonotonicityReport:
     increase: float
 
 
-def edge_monotonicity_check(
-    g: Graph, u: int, v: int, margin: float = 1e-10
-) -> EdgeMonotonicityReport:
-    """Check that adding the non-edge uv strictly raises rho."""
-    from .graphs import add_edge
-
+def edge_monotonicity_check(g: Graph, u: int, v: int) -> EdgeMonotonicityReport:
+    """Check that adding the non-edge uv raises rho by more than
+    ``RHO_MARGIN``."""
     before = perron(g).rho
     after = perron(add_edge(g, u, v)).rho
-    if not after > before + margin:
+    if not after > before + RHO_MARGIN:
         raise BiblockError(
-            f"rho failed to increase: {before} -> {after} (margin {margin})"
+            f"rho failed to increase: {before} -> {after} (margin {RHO_MARGIN})"
         )
     return EdgeMonotonicityReport(before, after, after - before)
 
@@ -231,30 +229,30 @@ class TwoBlockEigenData:
     x_v: float
 
 
-def _class_value(x: np.ndarray, idx, label: str, tol: float) -> float:
+def _class_value(x: np.ndarray, idx, label: str) -> float:
     vals = x[list(idx)]
     spread = float(np.max(vals) - np.min(vals))
-    if spread > tol:
+    if spread > CLASS_TOL:
         raise NotConstantWithinClassError(
-            f"entries of class {label} spread by {spread:.3e} (> {tol:.1e})"
+            f"entries of class {label} spread by {spread:.3e} (> {CLASS_TOL:.1e})"
         )
     return float(np.mean(vals))
 
 
 def _two_block_data(
-    x: np.ndarray, rho: float, far_f, near_f, near_h, far_h, v: int, tol: float
+    x: np.ndarray, rho: float, far_f, near_f, near_h, far_h, v: int
 ) -> TwoBlockEigenData:
     """Per-class values of K(P,Q)-v-K(M,N) read off a Perron vector, with
     P = far_f, Q = near_f, M = near_h, N = far_h and v in both Q and M."""
-    a_p = _class_value(x, far_f, "P", tol)
-    a_n = _class_value(x, far_h, "N", tol)
+    a_p = _class_value(x, far_f, "P")
+    a_n = _class_value(x, far_h, "N")
     x_v = float(x[v])
     q_rest = [w for w in near_f if w != v]
     m_rest = [w for w in near_h if w != v]
     if q_rest:
-        a_q = _class_value(x, q_rest, "Q-v", tol)
+        a_q = _class_value(x, q_rest, "Q-v")
     if m_rest:
-        a_m = _class_value(x, m_rest, "M-v", tol)
+        a_m = _class_value(x, m_rest, "M-v")
     if not q_rest and not m_rest:
         a_q = len(far_f) * a_p / rho
         a_m = x_v - a_q
@@ -268,13 +266,13 @@ def _two_block_data(
 
 
 def extract_two_block_data(
-    g: Graph, labeling: TwoBlockLabeling, pair: PerronPair, tol: float = CLASS_TOL
+    g: Graph, labeling: TwoBlockLabeling, pair: PerronPair
 ) -> TwoBlockEigenData:
     """Read the constant per-class eigenvector values off a Perron pair."""
     lab = labeling
     if g.k != lab.p + lab.q + lab.m + lab.n - 1:
         raise SizeMismatchError("graph does not match the labeling")
-    return _two_block_data(pair.X, pair.rho, lab.P, lab.Q, lab.M, lab.N, lab.v, tol)
+    return _two_block_data(pair.X, pair.rho, lab.P, lab.Q, lab.M, lab.N, lab.v)
 
 
 def check_identities_I(data: TwoBlockEigenData, rho: float) -> dict[str, float]:
@@ -311,20 +309,14 @@ def check_identities_I(data: TwoBlockEigenData, rho: float) -> dict[str, float]:
     return {key: abs(val) for key, val in res.items()}
 
 
-def two_block_data_from_graph(
-    g: Graph,
-    pair: PerronPair | None = None,
-    t: BlockCutTree | None = None,
-    tol: float = CLASS_TOL,
-) -> TwoBlockEigenData | None:
+def two_block_data_from_graph(g: Graph) -> TwoBlockEigenData | None:
     """Eigenvector class data for a graph of exactly two blocks.
 
     Returns None when the graph is not a two-block configuration.  The
     first block (in id order) plays F; the identities hold for either
     assignment.
     """
-    if t is None:
-        t = decompose(g)
+    t = decompose(g)
     if len(t.blocks) != 2:
         return None
     fblk, hblk = t.blocks
@@ -334,10 +326,9 @@ def two_block_data_from_graph(
     if len(shared) != 1:
         return None
     (v,) = shared
-    if pair is None:
-        pair = perron(g)
+    pair = perron(g)
     sides = (fblk.other_side(v), fblk.side_of(v), hblk.side_of(v), hblk.other_side(v))
-    return _two_block_data(pair.X, pair.rho, *map(sorted, sides), v, tol)
+    return _two_block_data(pair.X, pair.rho, *map(sorted, sides), v)
 
 
 # ---------------------------------------------------------------------------
@@ -364,14 +355,13 @@ class LeafEigenData:
     x_c: float
 
 
-def find_leaf_configs(g: Graph, t: BlockCutTree | None = None) -> list[LeafConfig]:
+def find_leaf_configs(g: Graph) -> list[LeafConfig]:
     """All valid (leaf block, neighbor, witness vertex) configurations.
 
     Valid means: H is a leaf block whose cut vertex v lies in exactly
     two blocks, and F's side through v has a non-cut vertex c besides v.
     """
-    if t is None:
-        t = decompose(g)
+    t = decompose(g)
     configs = []
     for h_id, blk in enumerate(t.blocks):
         cut_in = blk.vertices & t.cut_vertices
@@ -391,36 +381,27 @@ def find_leaf_configs(g: Graph, t: BlockCutTree | None = None) -> list[LeafConfi
     return configs
 
 
-def leaf_eigen_data(
-    g: Graph,
-    config: LeafConfig,
-    pair: PerronPair | None = None,
-    t: BlockCutTree | None = None,
-    tol: float = CLASS_TOL,
-) -> LeafEigenData:
+def leaf_eigen_data(g: Graph, config: LeafConfig) -> LeafEigenData:
     """Constant eigenvector values on a leaf block (b_m via the
     x_v = x_c + b_m split when the cut side is a singleton)."""
-    if t is None:
-        t = decompose(g)
-    _validate_leaf_config(g, t, config)
-    if pair is None:
-        pair = perron(g)
-    x = pair.X
+    t = decompose(g)
+    _validate_leaf_config(t, config)
+    x = perron(g).X
     hblk = t.blocks[config.h_id]
     m_side = hblk.side_of(config.v)
     n_side = hblk.other_side(config.v)
-    b_n = _class_value(x, sorted(n_side), "N", tol)
+    b_n = _class_value(x, sorted(n_side), "N")
     x_v = float(x[config.v])
     x_c = float(x[config.c])
     rest = sorted(m_side - {config.v})
     if rest:
-        b_m = _class_value(x, rest, "M-v", tol)
+        b_m = _class_value(x, rest, "M-v")
     else:
         b_m = x_v - x_c
     return LeafEigenData(b_m, b_n, x_v, x_c)
 
 
-def _validate_leaf_config(g: Graph, t: BlockCutTree, config: LeafConfig) -> None:
+def _validate_leaf_config(t: BlockCutTree, config: LeafConfig) -> None:
     if config.h_id >= len(t.blocks) or config.f_id >= len(t.blocks):
         raise NoSuchConfigurationError("block id out of range")
     hblk = t.blocks[config.h_id]
@@ -437,20 +418,12 @@ def _validate_leaf_config(g: Graph, t: BlockCutTree, config: LeafConfig) -> None
         raise NoSuchConfigurationError("c must not be a cut vertex")
 
 
-def check_identities_J(
-    g: Graph,
-    config: LeafConfig,
-    pair: PerronPair | None = None,
-    t: BlockCutTree | None = None,
-    tol: float = CLASS_TOL,
-) -> dict[str, float]:
+def check_identities_J(g: Graph, config: LeafConfig) -> dict[str, float]:
     """Residuals of the leaf-block identities J1-J4, J3*, and the split
     x_v = x_c + b_m."""
-    if t is None:
-        t = decompose(g)
-    data = leaf_eigen_data(g, config, pair, t, tol)
-    if pair is None:
-        pair = perron(g)
+    data = leaf_eigen_data(g, config)
+    t = decompose(g)
+    pair = perron(g)
     x = pair.X
     rho = pair.rho
     fblk = t.blocks[config.f_id]

@@ -83,10 +83,8 @@ def test_criterion_2_identity_suite(biblock_by_k):
             configs = find_leaf_configs(g)
             if not configs:
                 continue
-            pair = perron(g)
-            t = decompose(g)
             for config in configs:
-                res = check_identities_J(g, config, pair, t)
+                res = check_identities_J(g, config)
                 worst_j = max(worst_j, max(res.values()))
                 configs_seen += 1
     assert configs_seen > 0
@@ -144,7 +142,7 @@ def test_criterion_5_peel_dichotomy(biblock_by_k):
             t = decompose(g)
             if len(t.blocks) < 2:
                 continue
-            rep = verify_prop_alpha(g, t)
+            rep = verify_prop_alpha(g)
             assert rep.ok, g
             leaves += len(rep.entries)
     report(5, f"alpha drop on peeling is m or m-1 at all {leaves} leaf blocks",
@@ -179,7 +177,7 @@ def test_criterion_6_rewrite_monotonicity(biblock_by_k):
         lab = two_block_labeling(p, q, m, n)
         f_id = next(i for i, b in enumerate(t.blocks) if lab.P[0] in b.vertices)
         h_id = next(i for i, b in enumerate(t.blocks) if lab.N[0] in b.vertices)
-        out = reattach_subcase32(g, t, f_id, h_id)
+        out = reattach_subcase32(g, f_id, h_id)
         delta = quad_form_delta(g, out.result, pair.X / data.a_p)
         rho = pair.rho
         closed = (p * (rho**2 - p * q) / (rho * n)) * (

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from biblock import (
@@ -19,6 +21,7 @@ from biblock.errors import (
     SingleBlockError,
 )
 from biblock.graphs import induced_subgraph
+from conftest import random_biblock, random_connected_bipartite
 
 
 def path(n):
@@ -54,6 +57,11 @@ class TestDecompose:
     def test_disconnected_rejected(self):
         with pytest.raises(DisconnectedError):
             decompose(from_edge_list(4, [(0, 1), (2, 3)]))
+
+    def test_long_path_has_no_recursion_limit(self):
+        t = decompose(path(1500))
+        assert len(t.blocks) == 1499
+        assert t.cut_vertices == frozenset(range(1, 1499))
 
     def test_edges_partition(self, biblock_by_k, fig1):
         graphs = [g for k in range(2, 7) for g in biblock_by_k[k]] + [fig1]
@@ -93,6 +101,36 @@ class TestIsBiBlock:
 
     def test_disconnected_not(self):
         assert not is_bi_block(from_edge_list(4, [(0, 1), (2, 3)]))
+
+    def test_matches_block_tree_oracle(self):
+        # is_bi_block builds no tree; the oracle reads the parts of each
+        # block off the block-cut tree.
+        def via_tree(g):
+            return is_connected(g) and all(
+                b.parts is not None for b in decompose(g).blocks
+            )
+
+        rng = random.Random(17)
+        graphs = [random_connected_bipartite(rng, rng.randint(1, 14)) for _ in range(150)]
+        graphs += [random_biblock(rng, rng.randint(1, 20)) for _ in range(150)]
+        graphs += [
+            from_edge_list(4, [(0, 1), (1, 2), (0, 2), (2, 3)]),  # triangle + pendant
+            cycle(5),
+            # C5 plus a chord: 6 edges, as many as K_{3,2} on the even and
+            # odd labels, so the edge count alone cannot reject it.
+            from_edge_list(5, [(i, (i + 1) % 5) for i in range(5)] + [(0, 2)]),
+            from_edge_list(4, [(u, v) for u in range(4) for v in range(u + 1, 4)]),
+            # C5 glued at vertex 4 to K_{2,3} on {4, 5} x {6, 7, 8}
+            from_edge_list(
+                9,
+                [(i, (i + 1) % 5) for i in range(5)]
+                + [(a, b) for a in (4, 5) for b in (6, 7, 8)],
+            ),
+        ]
+        verdicts = [is_bi_block(g) for g in graphs]
+        assert verdicts == [via_tree(g) for g in graphs]
+        assert True in verdicts and False in verdicts
+        assert verdicts[-5:] == [False] * 5
 
 
 class TestBlockQueries:
@@ -175,7 +213,7 @@ class TestPeel:
         g = path(3)
         t = decompose(g)
         end = next(i for i, b in enumerate(t.blocks) if b.vertices == {1, 2})
-        peeled, mapping = peel_leaf_block(g, t, end)
+        peeled, mapping = peel_leaf_block(g, end)
         assert peeled.k == 2 and peeled.edge_count == 1
         assert set(mapping) == {0, 1}
 
@@ -183,8 +221,7 @@ class TestPeel:
         from biblock import build_two_block, is_isomorphic
 
         g = build_two_block(2, 2, 2, 2)
-        t = decompose(g)
-        peeled, _ = peel_leaf_block(g, t, 0)
+        peeled, _ = peel_leaf_block(g, 0)
         assert is_isomorphic(peeled, complete_bipartite(2, 2))
 
     def test_fig1_peel_k23(self, fig1):
@@ -193,7 +230,7 @@ class TestPeel:
             i for i, b in enumerate(t.blocks)
             if b.vertices == frozenset({5, 6, 13, 14, 15})
         )
-        peeled, _ = peel_leaf_block(fig1, t, k23)
+        peeled, _ = peel_leaf_block(fig1, k23)
         assert peeled.k == 17
 
     def test_peel_non_leaf_rejected(self, fig1):
@@ -203,12 +240,12 @@ class TestPeel:
             if b.vertices == frozenset({0, 1, 2, 3, 4, 5})
         )
         with pytest.raises(NotLeafError):
-            peel_leaf_block(fig1, t, k33)
+            peel_leaf_block(fig1, k33)
 
     def test_peel_single_block_rejected(self):
         g = complete_bipartite(2, 3)
         with pytest.raises(SingleBlockError):
-            peel_leaf_block(g, decompose(g), 0)
+            peel_leaf_block(g, 0)
 
     def test_peel_keeps_biblock(self, biblock_by_k):
         for k in range(3, 8):
@@ -217,7 +254,7 @@ class TestPeel:
                 if len(t.blocks) < 2:
                     continue
                 for bid in leaf_blocks(t):
-                    peeled, _ = peel_leaf_block(g, t, bid)
+                    peeled, _ = peel_leaf_block(g, bid)
                     assert is_connected(peeled)
                     assert is_bi_block(peeled)
 

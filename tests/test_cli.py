@@ -129,6 +129,21 @@ class TestRewriteCommand:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize(
+        "ids",
+        [
+            ("--kind", "reduce", "--vertex", "99", "--bi-block", "0", "--bj-block", "1"),
+            ("--kind", "merge", "--f-block", "0", "--h-block", "99"),
+            ("--kind", "merge", "--f-block", "-1", "--h-block", "0"),
+        ],
+        ids=["reduce-vertex-99", "merge-h-block-99", "merge-f-block-minus-1"],
+    )
+    def test_out_of_range_id_is_usage_error(self, capsys, ids):
+        code, out, err = run_cli(capsys, "rewrite", "--input", FIG1, *ids)
+        assert code == 2
+        assert out == ""
+        assert "not in 0.." in err
+
 
 class TestNormalizeCommand:
     def test_spider_trace_validates(self, capsys, tmp_path):
@@ -228,6 +243,14 @@ class TestExitCodes:
             with pytest.raises(SystemExit) as exc:
                 main(["alpha", flag, "1"])
             assert exc.value.code == 2
+
+    def test_long_path_answers_without_traceback(self, capsys, tmp_path):
+        path = tmp_path / "p1500.edges"
+        path.write_text("1500\n" + "".join(f"{i} {i + 1}\n" for i in range(1499)))
+        for command, expected in (("validate", 0), ("decompose", 0), ("normalize", 2)):
+            code, _, err = run_cli(capsys, command, "--input", str(path))
+            assert code == expected, (command, err)
+        assert "capped at 24" in err
 
     def test_non_bipartite_rho_is_fine_but_alpha_errors(self, capsys, tmp_path):
         path = tmp_path / "triangle.edges"

@@ -138,7 +138,7 @@ class TestClassifyLeaf:
         g = path(3)
         t = decompose(g)
         end = next(i for i, b in enumerate(t.blocks) if b.vertices == {1, 2})
-        case = classify_leaf(g, end, {0, 2}, t)
+        case = classify_leaf(g, end, {0, 2})
         assert case.tag == CUT_OUT_RESTRICTION_MAXIMAL
         assert case.restriction_size == 1
 
@@ -146,7 +146,7 @@ class TestClassifyLeaf:
         g = path(4)
         t = decompose(g)
         end = next(i for i, b in enumerate(t.blocks) if b.vertices == {0, 1})
-        case = classify_leaf(g, end, {1, 3}, t)
+        case = classify_leaf(g, end, {1, 3})
         assert case.tag == CUT_IN_SET
 
     def test_tags_match_bruteforce(self, biblock_by_k):
@@ -158,10 +158,10 @@ class TestClassifyLeaf:
                 continue
             for bid in leaf_blocks(t):
                 (v,) = t.blocks[bid].vertices & t.cut_vertices
-                peeled, mapping = peel_leaf_block(g, t, bid)
+                peeled, mapping = peel_leaf_block(g, bid)
                 alpha_peeled = alpha_bruteforce(peeled).alpha
                 for witness in maximum_independent_sets(g):
-                    case = classify_leaf(g, bid, witness, t)
+                    case = classify_leaf(g, bid, witness)
                     restriction = witness & set(mapping)
                     if v in witness:
                         assert case.tag == CUT_IN_SET
@@ -191,7 +191,7 @@ class TestClassifyLeaf:
                 continue
             for bid in leaf_blocks(t):
                 (v,) = t.blocks[bid].vertices & t.cut_vertices
-                peeled, mapping = peel_leaf_block(g, t, bid)
+                peeled, mapping = peel_leaf_block(g, bid)
                 alpha_peeled = alpha_bruteforce(peeled).alpha
                 maximal_restriction_exists = any(
                     len(w & set(mapping)) == alpha_peeled

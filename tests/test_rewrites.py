@@ -101,14 +101,14 @@ class TestUnitDecomposition:
 class TestMergeBlocks:
     def test_p3_degenerate_identity(self):
         g = path(3)
-        out = merge_blocks(g, decompose(g), 0, 1)
+        out = merge_blocks(g, 0, 1)
         assert out.result == g
         assert out.delta_rho == 0.0
         assert out.alpha_before == out.alpha_after == 2
 
     def test_two_block_2222_gives_k43(self):
         g = build_two_block(2, 2, 2, 2)
-        out = merge_blocks(g, decompose(g), 0, 1)
+        out = merge_blocks(g, 0, 1)
         assert is_isomorphic(out.result, complete_bipartite(4, 3))
         assert abs(out.rho_before - math.sqrt(6)) < 1e-9
         assert abs(out.rho_after - math.sqrt(12)) < 1e-9
@@ -119,7 +119,7 @@ class TestMergeBlocks:
         t = decompose(g)
         f_id = next(i for i, b in enumerate(t.blocks) if 0 in b.vertices)
         h_id = next(i for i, b in enumerate(t.blocks) if 6 in b.vertices)
-        out = merge_blocks(g, t, f_id, h_id)
+        out = merge_blocks(g, f_id, h_id)
         assert out.alpha_after == 5
         assert out.delta_rho > 1e-10
 
@@ -130,14 +130,14 @@ class TestMergeBlocks:
         (v,) = f.vertices & h.vertices
         wrong = (f.side_of(v), h.other_side(v))
         with pytest.raises(OrientationMismatchError):
-            merge_blocks(g, t, 0, 1, orientation=wrong)
+            merge_blocks(g, 0, 1, orientation=wrong)
 
     def test_valid_orientation_accepted(self):
         g = build_two_block(2, 2, 2, 2)
         t = decompose(g)
         f, h = t.blocks[0], t.blocks[1]
         (v,) = f.vertices & h.vertices
-        out = merge_blocks(g, t, 0, 1, orientation=(f.side_of(v), h.side_of(v)))
+        out = merge_blocks(g, 0, 1, orientation=(f.side_of(v), h.side_of(v)))
         assert is_isomorphic(out.result, complete_bipartite(4, 3))
 
     def test_non_neighbors_rejected(self):
@@ -147,7 +147,7 @@ class TestMergeBlocks:
         first = next(i for i, b in enumerate(t.blocks) if b.vertices == {0, 1})
         last = next(i for i, b in enumerate(t.blocks) if b.vertices == {5, 6})
         with pytest.raises(NotNeighborsError):
-            merge_blocks(g, t, first, last)
+            merge_blocks(g, first, last)
 
     def test_wrong_case_merge_fails_loudly(self):
         # q > p, n > m, p < q-1: the plain merge changes alpha and the
@@ -157,7 +157,7 @@ class TestMergeBlocks:
         f_id = next(i for i, b in enumerate(t.blocks) if 0 in b.vertices)
         h_id = next(i for i, b in enumerate(t.blocks) if 5 in b.vertices)
         with pytest.raises(PostconditionViolationError):
-            merge_blocks(g, t, f_id, h_id)
+            merge_blocks(g, f_id, h_id)
 
 
 class TestReattach:
@@ -167,7 +167,7 @@ class TestReattach:
         t = decompose(g)
         f_id = next(i for i, b in enumerate(t.blocks) if 0 in b.vertices)
         h_id = next(i for i, b in enumerate(t.blocks) if 5 in b.vertices)
-        out = reattach_subcase32(g, t, f_id, h_id)
+        out = reattach_subcase32(g, f_id, h_id)
         assert is_isomorphic(out.result, complete_bipartite(2, 6))
         assert out.alpha_after == 6
         assert out.delta_rho > 0
@@ -182,7 +182,7 @@ class TestReattach:
             h_id = next(
                 i for i, b in enumerate(t.blocks) if g.k - 1 in b.vertices
             )
-            reattach_subcase32(g, t, f_id, h_id)
+            reattach_subcase32(g, f_id, h_id)
 
     def test_small_n_rejected(self):
         g = build_two_block(1, 4, 3, 2)
@@ -190,7 +190,7 @@ class TestReattach:
         f_id = next(i for i, b in enumerate(t.blocks) if 0 in b.vertices)
         h_id = next(i for i, b in enumerate(t.blocks) if g.k - 1 in b.vertices)
         with pytest.raises(PreconditionFailedError, match="n > m"):
-            reattach_subcase32(g, t, f_id, h_id)
+            reattach_subcase32(g, f_id, h_id)
 
 
 class TestSplitPartition:
@@ -209,7 +209,7 @@ class TestSplitPartition:
         f_id = next(i for i, b in enumerate(t.blocks) if len(b.vertices) == 4)
         h_id = next(i for i, b in enumerate(t.blocks) if 4 in b.vertices)
         before_units = len(unit_decomposition(g))
-        out = split_partition_subcase22(g, t, f_id, h_id)
+        out = split_partition_subcase22(g, f_id, h_id)
         assert out.alpha_after == out.alpha_before
         assert out.delta_rho >= -1e-10
         assert is_bi_block(out.result)
@@ -233,7 +233,7 @@ class TestSplitPartition:
         t = decompose(g)
         f_id = next(i for i, b in enumerate(t.blocks) if len(b.vertices) == 4)
         h_id = next(i for i, b in enumerate(t.blocks) if 4 in b.vertices)
-        out = split_partition_subcase22(g, t, f_id, h_id, n1_choice=[5])
+        out = split_partition_subcase22(g, f_id, h_id, n1_choice=[5])
         assert out.step.n1 == (5,)
         assert out.alpha_after == out.alpha_before
 
@@ -243,20 +243,18 @@ class TestSplitPartition:
         f_id = next(i for i, b in enumerate(t.blocks) if len(b.vertices) == 4)
         h_id = next(i for i, b in enumerate(t.blocks) if 4 in b.vertices)
         with pytest.raises(BadSplitError):
-            split_partition_subcase22(g, t, f_id, h_id, n1_choice=[4, 5])
+            split_partition_subcase22(g, f_id, h_id, n1_choice=[4, 5])
 
     def test_equal_sides_rejected(self):
         g = build_two_block(2, 2, 2, 2)
-        t = decompose(g)
         with pytest.raises(PreconditionFailedError, match="n > m"):
-            split_partition_subcase22(g, t, 0, 1)
+            split_partition_subcase22(g, 0, 1)
 
 
 class TestReduceBlockIndex:
     def test_star_pendant_pair_is_noop(self):
         g = complete_bipartite(1, 3)
-        t = decompose(g)
-        out = reduce_block_index(g, t, 0, 0, 1)
+        out = reduce_block_index(g, 0, 0, 1)
         assert out.result == g
         assert out.delta_rho == 0.0
 
@@ -264,7 +262,7 @@ class TestReduceBlockIndex:
         g = spider()
         t = decompose(g)
         ids = list(t.incidence[0])
-        out = reduce_block_index(g, t, 0, ids[0], ids[1])
+        out = reduce_block_index(g, 0, ids[0], ids[1])
         assert out.alpha_after == out.alpha_before
         assert out.delta_rho >= 0.0
 
@@ -279,7 +277,7 @@ class TestReduceBlockIndex:
         t = decompose(g)
         ids = list(t.incidence[0])
         assert len(ids) == 3
-        out = reduce_block_index(g, t, 0, ids[0], ids[1])
+        out = reduce_block_index(g, 0, ids[0], ids[1])
         assert out.edges_added
         assert out.alpha_after == out.alpha_before
         assert out.delta_rho > 1e-10
@@ -288,9 +286,8 @@ class TestReduceBlockIndex:
 
     def test_small_index_rejected(self):
         g = path(3)
-        t = decompose(g)
         with pytest.raises(BlockIndexTooSmallError):
-            reduce_block_index(g, t, 1, 0, 1)
+            reduce_block_index(g, 1, 0, 1)
 
     def test_invalid_pair_rejected(self):
         g = from_edge_list(
@@ -300,7 +297,7 @@ class TestReduceBlockIndex:
         square = next(i for i, b in enumerate(t.blocks) if len(b.vertices) == 4)
         pendant = next(i for i, b in enumerate(t.blocks) if b.vertices == {0, 1})
         with pytest.raises(NoValidPairError):
-            reduce_block_index(g, t, 0, pendant, square)
+            reduce_block_index(g, 0, pendant, square)
 
 
 class TestFindApplicable:
@@ -469,6 +466,31 @@ class TestNormalize:
         assert all(o.alpha_before == o.alpha_after == 9 for o in trace)
         rhos = [perron(g).rho] + [o.rho_after for o in trace]
         assert all(b >= a - 1e-10 for a, b in zip(rhos, rhos[1:]))
+
+    def test_case5_tree_builds_each_quantity_once(self, monkeypatch):
+        from biblock import blocks, independence
+
+        trees, matchings = [], []
+        make_tree = blocks.BlockCutTree
+        match = independence._hopcroft_karp
+
+        def counted_tree(**fields):
+            trees.append(fields["graph"])
+            return make_tree(**fields)
+
+        def counted_match(g, left):
+            matchings.append(g)
+            return match(g, left)
+
+        monkeypatch.setattr(blocks, "BlockCutTree", counted_tree)
+        monkeypatch.setattr(independence, "_hopcroft_karp", counted_match)
+        g = case5_tree()
+        _, trace = normalize(g)
+        seen = {g} | {o.result for o in trace}
+        assert len(trace) == 4 and len(seen) == 5
+        for built in (trees, matchings):
+            assert len(built) == len(set(built))
+            assert set(built) <= seen
 
     def test_sweep_small(self, biblock_by_k):
         for k in range(2, 8):

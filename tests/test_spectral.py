@@ -221,7 +221,7 @@ class TestExtractTwoBlockData:
         lab = two_block_labeling(3, 2, 2, 4)
         pair = perron(g)
         via_lab = extract_two_block_data(g, lab, pair)
-        via_graph = two_block_data_from_graph(g, pair)
+        via_graph = two_block_data_from_graph(g)
         assert via_graph is not None
         # Either block may play F; compare as unordered configurations.
         direct = (via_graph.p, via_graph.q, via_graph.m, via_graph.n)
@@ -316,7 +316,7 @@ class TestIdentitiesJ:
         from biblock.spectral import LeafConfig
 
         with pytest.raises(NoSuchConfigurationError):
-            check_identities_J(g, LeafConfig(h_id=end, f_id=mid, v=1, c=2), t=t)
+            check_identities_J(g, LeafConfig(h_id=end, f_id=mid, v=1, c=2))
 
 
 class TestDegreeBounds:
@@ -364,7 +364,7 @@ class TestQuadFormDelta:
         # side of the configuration is a singleton.
         f_id = next(i for i, b in enumerate(t.blocks) if lab.P[0] in b.vertices)
         h_id = next(i for i, b in enumerate(t.blocks) if lab.N[0] in b.vertices)
-        outcome = reattach_subcase32(g, t, f_id, h_id)
+        outcome = reattach_subcase32(g, f_id, h_id)
         anchored = pair.X / data.a_p
         delta = quad_form_delta(g, outcome.result, anchored)
         rho = pair.rho
