@@ -15,6 +15,7 @@ from .errors import (
     NotLeafError,
     NotNeighborsError,
     OddCycleError,
+    OutOfRangeError,
     SingleBlockError,
 )
 from .graphs import Graph, bipartition, induced_subgraph, is_connected
@@ -52,9 +53,12 @@ class Block:
 
 @dataclass(frozen=True)
 class BlockCutTree:
-    """Blocks, cut vertices, and their incidence for one connected graph."""
+    """Blocks, cut vertices, and their incidence for one connected graph.
 
-    graph: Graph
+    Holds no reference to its graph, which caches it, so the pair is
+    freed without the cycle collector; ``len(incidence)`` is k.
+    """
+
     blocks: tuple[Block, ...]
     cut_vertices: frozenset[int]
     incidence: dict[int, tuple[int, ...]]
@@ -153,7 +157,6 @@ def decompose(g: Graph) -> BlockCutTree:
             for j in range(i + 1, len(ids)):
                 adjacency.add((ids[i], ids[j]))
     g._blocks = BlockCutTree(
-        graph=g,
         blocks=tuple(blocks),
         cut_vertices=cut,
         incidence={v: tuple(ids) for v, ids in incidence.items()},
@@ -186,7 +189,8 @@ def is_bi_block(g: Graph) -> bool:
 
 def block_index(t: BlockCutTree, v: int) -> int:
     """Number of blocks containing v (1 unless v is a cut vertex)."""
-    t.graph._check_vertex(v)
+    if not 0 <= v < len(t.incidence):
+        raise OutOfRangeError(f"vertex {v} not in 0..{len(t.incidence) - 1}")
     return len(t.incidence[v])
 
 
@@ -214,11 +218,12 @@ def shared_cut_vertex(t: BlockCutTree, f_id: int, h_id: int) -> int:
     return next(iter(shared))
 
 
-def neighbor_union(t: BlockCutTree, f_id: int, h_id: int) -> Graph:
+def neighbor_union(g: Graph, f_id: int, h_id: int) -> Graph:
     """Induced subgraph on the union of two neighboring blocks."""
+    t = decompose(g)
     shared_cut_vertex(t, f_id, h_id)
     union = t.blocks[f_id].vertices | t.blocks[h_id].vertices
-    sub, _ = induced_subgraph(t.graph, union)
+    sub, _ = induced_subgraph(g, union)
     return sub
 
 
@@ -250,7 +255,7 @@ def to_report(t: BlockCutTree) -> dict:
     """Serializable record of a decomposition (CLI `decompose` payload)."""
     leaves = set(leaf_blocks(t))
     return {
-        "k": t.graph.k,
+        "k": len(t.incidence),
         "blocks": [
             {
                 "id": bid,
@@ -265,5 +270,5 @@ def to_report(t: BlockCutTree) -> dict:
             for bid, blk in enumerate(t.blocks)
         ],
         "cut_vertices": sorted(t.cut_vertices),
-        "block_index": {str(v): len(t.incidence[v]) for v in range(t.graph.k)},
+        "block_index": {str(v): len(ids) for v, ids in t.incidence.items()},
     }

@@ -66,7 +66,7 @@ class NotMaximumError(BiblockError):
 
 
 class NoConvergenceError(BiblockError):
-    """Power iteration hit its iteration cap before reaching tolerance."""
+    """A Perron pair failed its positivity or residual check."""
 
 
 class NotConstantWithinClassError(BiblockError):

@@ -18,6 +18,7 @@ from biblock.errors import (
     DisconnectedError,
     NotLeafError,
     NotNeighborsError,
+    OutOfRangeError,
     SingleBlockError,
 )
 from biblock.graphs import induced_subgraph
@@ -143,6 +144,12 @@ class TestBlockQueries:
         t = decompose(complete_bipartite(2, 3))
         assert all(block_index(t, v) == 1 for v in range(5))
 
+    def test_index_of_missing_vertex_rejected(self):
+        t = decompose(complete_bipartite(2, 3))
+        for v in (-1, 5):
+            with pytest.raises(OutOfRangeError):
+                block_index(t, v)
+
     def test_p4_leaf_blocks(self):
         t = decompose(path(4))
         leaves = leaf_blocks(t)
@@ -181,17 +188,13 @@ class TestBlockQueries:
 
 class TestNeighborUnion:
     def test_p3_blocks_union_is_p3(self):
-        g = path(3)
-        t = decompose(g)
-        u = neighbor_union(t, 0, 1)
+        u = neighbor_union(path(3), 0, 1)
         assert u.k == 3 and u.edge_count == 2
 
     def test_two_k22_blocks(self):
         from biblock import build_two_block
 
-        g = build_two_block(2, 2, 2, 2)
-        t = decompose(g)
-        u = neighbor_union(t, 0, 1)
+        u = neighbor_union(build_two_block(2, 2, 2, 2), 0, 1)
         assert u.k == 7 and u.edge_count == 8
 
     def test_non_neighbors_rejected(self, fig1):
@@ -205,7 +208,7 @@ class TestNeighborUnion:
             if b.vertices == frozenset({5, 6, 13, 14, 15})
         )
         with pytest.raises(NotNeighborsError):
-            neighbor_union(t, k43, k23)
+            neighbor_union(fig1, k43, k23)
 
 
 class TestPeel:

@@ -1,6 +1,7 @@
 import copy
 import io
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -251,6 +252,9 @@ class TestExitCodes:
             code, _, err = run_cli(capsys, command, "--input", str(path))
             assert code == expected, (command, err)
         assert "capped at 24" in err
+        code, out, err = run_cli(capsys, "rho", "--input", str(path))
+        assert code == 0, err
+        assert abs(float(out.split("=")[1]) - 2 * math.cos(math.pi / 1501)) < 1e-9
 
     def test_non_bipartite_rho_is_fine_but_alpha_errors(self, capsys, tmp_path):
         path = tmp_path / "triangle.edges"

@@ -475,8 +475,9 @@ class TestNormalize:
         match = independence._hopcroft_karp
 
         def counted_tree(**fields):
-            trees.append(fields["graph"])
-            return make_tree(**fields)
+            tree = make_tree(**fields)
+            trees.append(tree)
+            return tree
 
         def counted_match(g, left):
             matchings.append(g)
@@ -488,7 +489,11 @@ class TestNormalize:
         _, trace = normalize(g)
         seen = {g} | {o.result for o in trace}
         assert len(trace) == 4 and len(seen) == 5
-        for built in (trees, matchings):
+        # A tree does not name its graph; each one built must be the
+        # tree cached on one of the graphs seen.
+        owner = {id(h._blocks): h for h in seen if h._blocks is not None}
+        tree_graphs = [owner.get(id(tree)) for tree in trees]
+        for built in (tree_graphs, matchings):
             assert len(built) == len(set(built))
             assert set(built) <= seen
 

@@ -34,7 +34,14 @@ from biblock.errors import (
     SizeMismatchError,
     ZeroVectorError,
 )
-from biblock.spectral import DEFAULT_TOL, PerronPair, two_block_data_from_graph
+from biblock.spectral import (
+    CLASS_TOL,
+    DEFAULT_TOL,
+    PerronPair,
+    dense_adjacency,
+    two_block_data_from_graph,
+)
+from conftest import random_biblock
 
 
 def path(n):
@@ -80,12 +87,37 @@ class TestPerron:
             perron(from_edge_list(4, [(0, 1), (2, 3)]))
 
     def test_positive_on_k10_10_with_long_pendant_path(self):
-        # k = 45; a dense eigensolver returns non-positive entries here,
-        # deep along the path where the Perron vector decays.
+        # k = 45; deep along the path the Perron vector decays to about
+        # 1e-26, where the eigensolver's raw top eigenvector has entries
+        # of either sign; its absolute value must come out positive.
         pairs = [(u, v) for u in range(10) for v in range(10, 20)]
         pairs += [(0, 20)] + [(w, w + 1) for w in range(20, 44)]
         pair = perron(from_edge_list(45, pairs))
         assert np.all(pair.X > 0)
+
+    def test_underflowing_entries_on_k30_30_with_long_pendant_path(self):
+        # k = 320; far along the path the true entries fall below the
+        # smallest double, so the returned vector is floored there.
+        pairs = [(u, v) for u in range(30) for v in range(30, 60)]
+        pairs += [(0, 60)] + [(w, w + 1) for w in range(60, 319)]
+        g = from_edge_list(320, pairs)
+        pair = perron(g)
+        a = dense_adjacency(g)
+        assert np.all(pair.X > 0)
+        resid = np.max(np.abs(a @ pair.X + pair.X - (pair.rho + 1) * pair.X))
+        assert resid <= DEFAULT_TOL * (pair.rho + 1)
+        assert abs(pair.rho - np.linalg.eigvalsh(a)[-1]) <= 1e-12 * pair.rho
+
+    def test_matches_eigvalsh(self, biblock_by_k):
+        rng = random.Random(2004)
+        graphs = [g for k in sorted(biblock_by_k) for g in biblock_by_k[k]]
+        graphs += [random_biblock(rng, k) for k in range(10, 121, 5)]
+        for g in graphs:
+            pair = perron(g)
+            top = np.linalg.eigvalsh(dense_adjacency(g))[-1]
+            assert abs(pair.rho - top) <= 1e-12 * pair.rho, g.k
+            assert np.all(pair.X > 0), g.k
+            assert abs(np.linalg.norm(pair.X) - 1.0) <= 1e-12, g.k
 
     def test_pair_cached_on_graph(self):
         g = path(5)
@@ -223,10 +255,16 @@ class TestExtractTwoBlockData:
         via_lab = extract_two_block_data(g, lab, pair)
         via_graph = two_block_data_from_graph(g)
         assert via_graph is not None
-        # Either block may play F; compare as unordered configurations.
-        direct = (via_graph.p, via_graph.q, via_graph.m, via_graph.n)
-        swapped = (via_graph.n, via_graph.m, via_graph.q, via_graph.p)
-        assert (3, 2, 2, 4) in (direct, swapped)
+        # Either block may play F; when the other one does, P and N
+        # trade places, and so do Q and M.
+        sizes = (via_graph.p, via_graph.q, via_graph.m, via_graph.n)
+        values = (via_graph.a_p, via_graph.a_q, via_graph.a_m, via_graph.a_n)
+        if sizes != (3, 2, 2, 4):
+            sizes, values = sizes[::-1], values[::-1]
+        assert sizes == (3, 2, 2, 4)
+        expected = (via_lab.a_p, via_lab.a_q, via_lab.a_m, via_lab.a_n)
+        for got, want in zip(values + (via_graph.x_v,), expected + (via_lab.x_v,)):
+            assert abs(got - want) <= CLASS_TOL
 
     def test_from_graph_none_for_three_blocks(self):
         g = from_edge_list(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
