@@ -3,6 +3,12 @@
 Standard decomposition semantics throughout: a block is a maximal
 subgraph without a cut vertex, so a star splits into pendant-edge
 blocks and its center has block index equal to its degree.
+
+One lowpoint DFS gives both each block's edges and its two sides: the
+tree edges inside a biconnected component span it, so the parity of DFS
+depth 2-colours every block, and a block is complete bipartite exactly
+when all its edges cross the two parity classes and it has |A| * |B|
+edges.  No block is relabelled or 2-coloured again.
 """
 
 from __future__ import annotations
@@ -14,20 +20,23 @@ from .errors import (
     DisconnectedError,
     NotLeafError,
     NotNeighborsError,
-    OddCycleError,
     OutOfRangeError,
     SingleBlockError,
 )
-from .graphs import Graph, bipartition, induced_subgraph, is_connected
+from .graphs import Graph, induced_subgraph, is_connected
 
 
 @dataclass(frozen=True)
 class Block:
-    """One block: its vertex set, and both sides when complete bipartite.
+    """A piece of the graph: its vertex set, and both sides when complete
+    bipartite.
 
     ``parts`` is None when the induced subgraph is not complete
     bipartite; otherwise the side containing the smallest vertex label
-    comes first.
+    comes first.  Besides the standard blocks of a block-cut tree, the
+    coalesced stars of ``rewrites.unit_decomposition`` are Blocks too:
+    complete bipartite pieces whose vertices span several pendant-edge
+    blocks.
     """
 
     vertices: frozenset[int]
@@ -62,12 +71,18 @@ class BlockCutTree:
     blocks: tuple[Block, ...]
     cut_vertices: frozenset[int]
     incidence: dict[int, tuple[int, ...]]
-    block_adjacency: frozenset[tuple[int, int]]
 
 
-def _biconnected_edge_components(g: Graph) -> list[list[tuple[int, int]]]:
+def _biconnected_edge_components(
+    g: Graph,
+) -> tuple[list[list[tuple[int, int]]], list[int]]:
     """Hopcroft-Tarjan lowpoint DFS returning the edge set of each
-    biconnected component.
+    biconnected component and the parity of each vertex's DFS depth.
+
+    A component's tree edges form a subtree that spans all its vertices
+    (it hangs from the component's first vertex), so the depth parity is
+    a 2-colouring of that subtree; when the component is bipartite it is
+    the component's 2-colouring, unique up to swapping the sides.
 
     The DFS keeps an explicit stack of (vertex, parent, neighbor
     iterator) frames, so its depth is not bounded by the interpreter's
@@ -75,6 +90,7 @@ def _biconnected_edge_components(g: Graph) -> list[list[tuple[int, int]]]:
     """
     disc = [-1] * g.k
     low = [0] * g.k
+    side = [0] * g.k
     edges: list[tuple[int, int]] = []
     comps: list[list[tuple[int, int]]] = []
     disc[0] = low[0] = 0
@@ -86,6 +102,7 @@ def _biconnected_edge_components(g: Graph) -> list[list[tuple[int, int]]]:
             if disc[v] == -1:
                 edges.append((u, v))
                 disc[v] = low[v] = timer
+                side[v] = side[u] ^ 1
                 timer += 1
                 frames.append((v, u, iter(g.neighbors(v))))
                 break
@@ -105,7 +122,27 @@ def _biconnected_edge_components(g: Graph) -> list[list[tuple[int, int]]]:
                     if e == (parent, u):
                         break
                 comps.append(comp)
-    return comps
+    return comps, side
+
+
+def _blocks(g: Graph):
+    """Yield the Block of each biconnected component of a connected g.
+
+    Sides come from the DFS depth parity; ``parts`` is set only when
+    every edge crosses the parity classes and the component has
+    |A| * |B| edges.
+    """
+    comps, side = _biconnected_edge_components(g)
+    for comp in comps:
+        vs = frozenset(u for e in comp for u in e)
+        parts = None
+        if all(side[u] != side[v] for u, v in comp):
+            first = side[min(vs)]
+            near = frozenset(u for u in vs if side[u] == first)
+            far = vs - near
+            if len(comp) == len(near) * len(far):
+                parts = (near, far)
+        yield Block(vs, parts)
 
 
 def decompose(g: Graph) -> BlockCutTree:
@@ -118,49 +155,16 @@ def decompose(g: Graph) -> BlockCutTree:
         return g._blocks
     if not is_connected(g):
         raise DisconnectedError("decompose requires a connected graph")
-    comps = _biconnected_edge_components(g)
-    vertex_sets = []
-    for comp in comps:
-        vs = set()
-        for u, v in comp:
-            vs.add(u)
-            vs.add(v)
-        vertex_sets.append(frozenset(vs))
-    vertex_sets.sort(key=lambda s: tuple(sorted(s)))
-
-    blocks = []
-    for vs in vertex_sets:
-        sub, old_to_new = induced_subgraph(g, vs)
-        parts = None
-        try:
-            bp = bipartition(sub)
-        except OddCycleError:
-            bp = None
-        if bp is not None and sub.edge_count == len(bp.M) * len(bp.N):
-            new_to_old = {i: u for u, i in old_to_new.items()}
-            side_a = frozenset(new_to_old[i] for i in bp.M)
-            side_b = frozenset(new_to_old[i] for i in bp.N)
-            if min(side_b) < min(side_a):
-                side_a, side_b = side_b, side_a
-            parts = (side_a, side_b)
-        blocks.append(Block(vs, parts))
-
+    blocks = sorted(_blocks(g), key=lambda b: tuple(sorted(b.vertices)))
     incidence: dict[int, list[int]] = {v: [] for v in range(g.k)}
     for bid, blk in enumerate(blocks):
         for v in blk.vertices:
             incidence[v].append(bid)
     cut = frozenset(v for v, ids in incidence.items() if len(ids) >= 2)
-    adjacency = set()
-    for v in cut:
-        ids = incidence[v]
-        for i in range(len(ids)):
-            for j in range(i + 1, len(ids)):
-                adjacency.add((ids[i], ids[j]))
     g._blocks = BlockCutTree(
         blocks=tuple(blocks),
         cut_vertices=cut,
         incidence={v: tuple(ids) for v, ids in incidence.items()},
-        block_adjacency=frozenset(adjacency),
     )
     return g._blocks
 
@@ -168,23 +172,12 @@ def decompose(g: Graph) -> BlockCutTree:
 def is_bi_block(g: Graph) -> bool:
     """True iff g is connected and every block is complete bipartite.
 
-    Builds no block-cut tree.  A bi-block graph is bipartite, and each
-    block of a bipartite graph inherits its two sides A and B from the
-    graph's 2-coloring, so the block is complete bipartite exactly when
-    its edge component has |A| * |B| edges.
+    Reads the same blocks as ``decompose`` but builds and caches no
+    block-cut tree: enumeration asserts ``is_bi_block`` on every graph
+    it returns, and cached trees for all of B(10) would hold about
+    4.9 MB, about an eighth of ``verify-theorem``'s peak memory.
     """
-    if not is_connected(g):
-        return False
-    try:
-        side_m = bipartition(g).M
-    except OddCycleError:
-        return False
-    for comp in _biconnected_edge_components(g):
-        vs = {u for e in comp for u in e}
-        a = len(vs & side_m)
-        if len(comp) != a * (len(vs) - a):
-            return False
-    return True
+    return is_connected(g) and all(blk.parts is not None for blk in _blocks(g))
 
 
 def block_index(t: BlockCutTree, v: int) -> int:

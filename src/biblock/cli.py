@@ -190,7 +190,9 @@ def _outcome_payload(outcome: rewrites.RewriteOutcome) -> dict:
         "alpha_after": outcome.alpha_after,
         "rho_before": _fmt(outcome.rho_before),
         "rho_after": _fmt(outcome.rho_after),
-        "delta_rho": _fmt(outcome.delta_rho),
+        # A difference of two rho values each good to about 1e-15: 12
+        # decimal places, not 12 significant digits, and never -0.0.
+        "delta_rho": round(outcome.delta_rho, 12) or 0.0,
         "edges_added": [list(e) for e in outcome.edges_added],
         "edges_removed": [list(e) for e in outcome.edges_removed],
     }

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .blocks import BlockCutTree, decompose, is_bi_block
+from .blocks import Block, BlockCutTree, decompose, is_bi_block
 from .errors import (
     BadSplitError,
     BlockIndexTooSmallError,
@@ -59,7 +59,6 @@ class RewriteStep:
     h_far: tuple[int, ...]
     h_near: tuple[int, ...]
     n1: tuple[int, ...] | None = None
-    block_ids: tuple[int, int] | None = None
 
     def key(self):
         return (
@@ -94,40 +93,17 @@ class RewriteOutcome:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Unit:
-    """A complete bipartite piece of the graph (block or coalesced star)."""
-
-    side_a: frozenset[int]
-    side_b: frozenset[int]
-
-    @property
-    def vertices(self) -> frozenset[int]:
-        return self.side_a | self.side_b
-
-    def side_of(self, v: int) -> frozenset[int]:
-        if v in self.side_a:
-            return self.side_a
-        if v in self.side_b:
-            return self.side_b
-        raise KeyError(f"vertex {v} not in unit")
-
-    def other_side(self, v: int) -> frozenset[int]:
-        return self.side_b if v in self.side_a else self.side_a
-
-
-def unit_decomposition(g: Graph) -> list[Unit]:
+def unit_decomposition(g: Graph) -> list[Block]:
     """Blocks of g with stars around a common center coalesced.
 
     Processes centers in ascending label order: at each vertex, all
     units whose side there is the bare singleton merge into one star.
-    The result partitions the edge set into complete bipartite units.
+    The result partitions the edge set into complete bipartite units,
+    each a Block whose side with the smallest label comes first.
     """
-    units: list[Unit] = []
-    for blk in decompose(g).blocks:
-        if blk.parts is None:
-            raise NotBiBlockError("graph has a non-complete-bipartite block")
-        units.append(Unit(blk.parts[0], blk.parts[1]))
+    units = list(decompose(g).blocks)
+    if any(blk.parts is None for blk in units):
+        raise NotBiBlockError("graph has a non-complete-bipartite block")
     for v in range(g.k):
         vbit = frozenset([v])
         stars = [u for u in units if v in u.vertices and u.side_of(v) == vbit]
@@ -136,12 +112,13 @@ def unit_decomposition(g: Graph) -> list[Unit]:
             for u in stars:
                 merged_far |= u.other_side(v)
             units = [u for u in units if u not in stars]
-            units.append(Unit(merged_far, vbit))
+            parts = (merged_far, vbit) if min(merged_far) < v else (vbit, merged_far)
+            units.append(Block(merged_far | vbit, parts))
     units.sort(key=lambda u: tuple(sorted(u.vertices)))
     return units
 
 
-def _unit_incidence(units: list[Unit], k: int) -> dict[int, list[int]]:
+def _unit_incidence(units: list[Block], k: int) -> dict[int, list[int]]:
     inc: dict[int, list[int]] = {v: [] for v in range(k)}
     for idx, u in enumerate(units):
         for v in u.vertices:
@@ -251,7 +228,7 @@ def apply_step(g: Graph, step: RewriteStep) -> RewriteOutcome:
 
 
 def _merge_step(
-    f: Unit, h: Unit, v: int, case: str, block_ids=None, kind: str = MERGE_BLOCKS
+    f: Block, h: Block, v: int, case: str, kind: str = MERGE_BLOCKS
 ) -> RewriteStep:
     f_near, f_far = f.side_of(v), f.other_side(v)
     h_near, h_far = h.side_of(v), h.other_side(v)
@@ -268,12 +245,11 @@ def _merge_step(
         f_near=f_pair[1],
         h_far=h_pair[0],
         h_near=h_pair[1],
-        block_ids=block_ids,
     )
 
 
 def _directional_step(
-    kind: str, f: Unit, h: Unit, v: int, case: str, n1=None, block_ids=None
+    kind: str, f: Block, h: Block, v: int, case: str, n1=None
 ) -> RewriteStep:
     return RewriteStep(
         kind=kind,
@@ -284,35 +260,31 @@ def _directional_step(
         h_far=tuple(sorted(h.other_side(v))),
         h_near=tuple(sorted(h.side_of(v))),
         n1=n1,
-        block_ids=block_ids,
     )
 
 
-def _block_unit(t: BlockCutTree, bid: int) -> Unit:
+def _block_unit(t: BlockCutTree, bid: int) -> Block:
     if not 0 <= bid < len(t.blocks):
         raise OutOfRangeError(f"block id {bid} not in 0..{len(t.blocks) - 1}")
-    blk = t.blocks[bid]
-    if blk.parts is None:
+    if t.blocks[bid].parts is None:
         raise NotBiBlockError(f"block {bid} is not complete bipartite")
-    return Unit(blk.parts[0], blk.parts[1])
+    return t.blocks[bid]
 
 
-def _unit_of_block(units: list[Unit], blk: Unit) -> Unit:
+def _unit_of_block(units: list[Block], blk: Block) -> Block:
     """The unit holding a complete bipartite block's edges (the block
     itself, or its star), found through the edge joining the two sides'
     smallest labels."""
-    a, b = min(blk.side_a), min(blk.side_b)
+    a, b = min(blk.parts[0]), min(blk.parts[1])
     for unit in units:
-        if (a in unit.side_a and b in unit.side_b) or (
-            a in unit.side_b and b in unit.side_a
-        ):
+        if a in unit.vertices and b in unit.other_side(a):
             return unit
     raise NotBiBlockError(f"block on {sorted(blk.vertices)} not covered by any unit")
 
 
 def _resolve_pair(
     g: Graph, f_id: int, h_id: int, leaf_pair: bool
-) -> tuple[Unit, Unit, int]:
+) -> tuple[Block, Block, int]:
     """Interpret two block ids as a unit pair sharing one cut vertex.
 
     The raw blocks win when they already form a valid pair (so the
@@ -374,13 +346,13 @@ def merge_blocks(g: Graph, f_id: int, h_id: int, orientation=None) -> RewriteOut
     f, h, v = _resolve_pair(g, f_id, h_id, leaf_pair=False)
     if orientation is not None:
         s_f, s_h = frozenset(orientation[0]), frozenset(orientation[1])
-        if s_f not in (f.side_a, f.side_b) or s_h not in (h.side_a, h.side_b):
+        if s_f not in f.parts or s_h not in h.parts:
             raise OrientationMismatchError("orientation must name block sides")
         if (v in s_f) != (v in s_h):
             raise OrientationMismatchError(
                 "orientation places the cut vertex on both united sides"
             )
-    step = _merge_step(f, h, v, "merge", block_ids=(f_id, h_id))
+    step = _merge_step(f, h, v, "merge")
     return apply_step(g, step)
 
 
@@ -401,9 +373,7 @@ def reattach_subcase32(g: Graph, f_id: int, h_id: int) -> RewriteOutcome:
     ):
         if not ok:
             raise PreconditionFailedError(label)
-    step = _directional_step(
-        REATTACH, f, h, v, "two-block subcase 3.2", block_ids=(f_id, h_id)
-    )
+    step = _directional_step(REATTACH, f, h, v, "two-block subcase 3.2")
     return apply_step(g, step)
 
 
@@ -428,13 +398,12 @@ def split_partition_subcase22(
                 f"N1 must be {m} vertices drawn from N={sorted(n_side)}"
             )
     step = _directional_step(
-        SPLIT_PARTITION, f, h, v, "case 3 subcase 2.2", n1=n1,
-        block_ids=(f_id, h_id),
+        SPLIT_PARTITION, f, h, v, "case 3 subcase 2.2", n1=n1
     )
     return apply_step(g, step)
 
 
-def _reduce_pair_valid(witness: frozenset[int], f: Unit, h: Unit, v: int) -> bool:
+def _reduce_pair_valid(witness: frozenset[int], f: Block, h: Block, v: int) -> bool:
     """Pigeonhole condition: the witness misses both far sides or both
     near sides, so uniting them keeps it independent."""
     near_free = not (witness & f.side_of(v)) and not (witness & h.side_of(v))
@@ -462,10 +431,7 @@ def reduce_block_index(g: Graph, v: int, bi_id: int, bj_id: int) -> RewriteOutco
         raise NoValidPairError(
             f"witness meets opposite sides of blocks {bi_id} and {bj_id} at {v}"
         )
-    step = _merge_step(
-        f, h, v, "block-index reduction", block_ids=(bi_id, bj_id),
-        kind=REDUCE_BLOCK_INDEX,
-    )
+    step = _merge_step(f, h, v, "block-index reduction", kind=REDUCE_BLOCK_INDEX)
     return apply_step(g, step)
 
 
@@ -474,21 +440,18 @@ def reduce_block_index(g: Graph, v: int, bi_id: int, bj_id: int) -> RewriteOutco
 # ---------------------------------------------------------------------------
 
 
-def _leaf_units(units: list[Unit], inc: dict[int, list[int]]) -> list[int]:
-    out = []
-    for idx, u in enumerate(units):
-        cuts = [v for v in u.vertices if len(inc[v]) >= 2]
-        if len(cuts) <= 1:
-            out.append(idx)
-    return out
-
-
-def _unit_cut_vertices(u: Unit, inc: dict[int, list[int]]) -> list[int]:
+def _unit_cut_vertices(u: Block, inc: dict[int, list[int]]) -> list[int]:
     return [v for v in u.vertices if len(inc[v]) >= 2]
 
 
+def _leaf_units(units: list[Block], inc: dict[int, list[int]]) -> list[int]:
+    return [
+        idx for idx, u in enumerate(units) if len(_unit_cut_vertices(u, inc)) <= 1
+    ]
+
+
 def _leaf_neighbor(
-    units: list[Unit], inc: dict[int, list[int]], h_idx: int
+    units: list[Block], inc: dict[int, list[int]], h_idx: int
 ) -> tuple[int, int] | None:
     """(F, v) when the unit H is a leaf whose one cut vertex v lies in H
     and F only, else None."""
@@ -500,7 +463,7 @@ def _leaf_neighbor(
 
 
 def _swapped_reattach(
-    units: list[Unit], inc: dict[int, list[int]], h_idx: int, witness: frozenset[int]
+    units: list[Block], inc: dict[int, list[int]], h_idx: int, witness: frozenset[int]
 ) -> RewriteStep | None:
     """Case 5 (the witness meets P but not Q, and m >= n + 2) when its
     chain search finds no move: the reattachment with H and F swapped,
@@ -519,7 +482,7 @@ def _swapped_reattach(
 
 def _leaf_case_step(
     g: Graph,
-    units: list[Unit],
+    units: list[Block],
     inc: dict[int, list[int]],
     h_idx: int,
     witness: frozenset[int],
@@ -577,7 +540,7 @@ def _leaf_case_step(
 
 def _case5_resolve(
     g: Graph,
-    units: list[Unit],
+    units: list[Block],
     inc: dict[int, list[int]],
     f_idx: int,
     v: int,
@@ -612,15 +575,13 @@ def _case5_resolve(
     return walk(f_idx, f.other_side(v))
 
 
-def _index_reductions(pieces: list[Unit], v: int, witness: frozenset[int], ids=None):
+def _index_reductions(pieces: list[Block], v: int, witness: frozenset[int]):
     """Index reductions at v for each pigeonhole-valid pair of the pieces
-    there: units, or standard blocks with their ids."""
-    for a, b in combinations(range(len(pieces)), 2):
-        if _reduce_pair_valid(witness, pieces[a], pieces[b], v):
+    there: units, or standard blocks."""
+    for f, h in combinations(pieces, 2):
+        if _reduce_pair_valid(witness, f, h, v):
             yield _merge_step(
-                pieces[a], pieces[b], v, "block-index reduction",
-                block_ids=None if ids is None else (ids[a], ids[b]),
-                kind=REDUCE_BLOCK_INDEX,
+                f, h, v, "block-index reduction", kind=REDUCE_BLOCK_INDEX
             )
 
 
@@ -660,7 +621,7 @@ def find_applicable(g: Graph, witness) -> list[RewriteStep]:
         ids = t.incidence[v]
         if len(ids) >= 3:
             blocks = [_block_unit(t, i) for i in ids]
-            for step in _index_reductions(blocks, v, witness, ids):
+            for step in _index_reductions(blocks, v, witness):
                 put(step)
     if all(step is None for step in leaf_steps):
         for h_idx in leaves:

@@ -16,12 +16,13 @@ from biblock import (
 from biblock.blocks import to_report
 from biblock.errors import (
     DisconnectedError,
+    OddCycleError,
     NotLeafError,
     NotNeighborsError,
     OutOfRangeError,
     SingleBlockError,
 )
-from biblock.graphs import induced_subgraph
+from biblock.graphs import bipartition, induced_subgraph
 from conftest import random_biblock, random_connected_bipartite
 
 
@@ -31,6 +32,81 @@ def path(n):
 
 def cycle(n):
     return from_edge_list(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def _components_without(g, x):
+    """A component label for each vertex of G - x; x itself gets -1."""
+    comp = [-1] * g.k
+    for s in range(g.k):
+        if s == x or comp[s] != -1:
+            continue
+        comp[s] = s
+        stack = [s]
+        while stack:
+            u = stack.pop()
+            for w in g.neighbors(u):
+                if w != x and comp[w] == -1:
+                    comp[w] = s
+                    stack.append(w)
+    return comp
+
+
+def reference_blocks(g):
+    """(vertices, parts) of every block, sorted as ``decompose`` sorts
+    them, without the lowpoint DFS.
+
+    Two edges lie in one block iff no vertex x separates them in G - x,
+    an edge at x counting with its other end.  Each block's sides come
+    from relabelling it and 2-colouring it on its own; it is complete
+    bipartite iff that succeeds and it has |A| * |B| edges.
+    """
+    comps = [_components_without(g, x) for x in range(g.k)]
+    groups = {}
+    for u, v in sorted(g.edges):
+        label = tuple(c[v] if c[u] == -1 else c[u] for c in comps)
+        groups.setdefault(label, set()).update((u, v))
+    out = []
+    for vs in groups.values():
+        sub, old_to_new = induced_subgraph(g, vs)
+        parts = None
+        try:
+            bp = bipartition(sub)
+        except OddCycleError:
+            bp = None
+        if bp is not None and sub.edge_count == len(bp.M) * len(bp.N):
+            new_to_old = {i: u for u, i in old_to_new.items()}
+            side_m = frozenset(new_to_old[i] for i in bp.M)
+            side_n = frozenset(new_to_old[i] for i in bp.N)
+            parts = (side_m, side_n) if min(side_m) < min(side_n) else (side_n, side_m)
+        out.append((frozenset(vs), parts))
+    return sorted(out, key=lambda b: tuple(sorted(b[0])))
+
+
+def random_connected(rng, k):
+    """A random spanning tree on k vertices plus up to k extra random
+    edges, so odd and even cycles both occur."""
+    edges = {(rng.randrange(v), v) for v in range(1, k)}
+    for _ in range(rng.randint(0, k) if k > 1 else 0):
+        edges.add(tuple(sorted(rng.sample(range(k), 2))))
+    return from_edge_list(k, sorted(edges))
+
+
+def hand_made_graphs():
+    """Five connected graphs that are not bi-block."""
+    return [
+        from_edge_list(4, [(0, 1), (1, 2), (0, 2), (2, 3)]),  # triangle + pendant
+        cycle(5),
+        # C5 plus a chord: 6 edges, as many as K_{3,2} on the even and
+        # odd labels, so the edge count alone cannot reject it.
+        from_edge_list(5, [(i, (i + 1) % 5) for i in range(5)] + [(0, 2)]),
+        from_edge_list(4, [(u, v) for u in range(4) for v in range(u + 1, 4)]),
+        # C5 glued at vertex 4 to K_{2,3} on {4, 5} x {6, 7, 8}
+        from_edge_list(
+            9,
+            [(i, (i + 1) % 5) for i in range(5)]
+            + [(a, b) for a in (4, 5) for b in (6, 7, 8)],
+        ),
+    ]
 
 
 class TestDecompose:
@@ -74,6 +150,18 @@ class TestDecompose:
                 total += sub.edge_count
             assert total == g.edge_count
 
+    def test_blocks_and_parts_match_reference(self):
+        rng = random.Random(23)
+        graphs = [random_connected(rng, rng.randint(1, 14)) for _ in range(200)]
+        graphs += [random_biblock(rng, rng.randint(1, 16)) for _ in range(100)]
+        graphs += hand_made_graphs()
+        for g in graphs:
+            blocks = [(b.vertices, b.parts) for b in decompose(g).blocks]
+            assert blocks == reference_blocks(g)
+        parts = [b.parts for g in graphs for b in decompose(g).blocks]
+        assert None in parts
+        assert sum(p is not None and min(map(len, p)) >= 2 for p in parts) > 50
+
     def test_cut_vertices_match_bruteforce(self, biblock_by_k):
         for k in range(3, 7):
             for g in biblock_by_k[k]:
@@ -104,34 +192,31 @@ class TestIsBiBlock:
         assert not is_bi_block(from_edge_list(4, [(0, 1), (2, 3)]))
 
     def test_matches_block_tree_oracle(self):
-        # is_bi_block builds no tree; the oracle reads the parts of each
-        # block off the block-cut tree.
-        def via_tree(g):
+        # The oracle finds the blocks and their sides without the
+        # lowpoint DFS that is_bi_block and decompose share.
+        def via_reference(g):
             return is_connected(g) and all(
-                b.parts is not None for b in decompose(g).blocks
+                parts is not None for _, parts in reference_blocks(g)
             )
 
         rng = random.Random(17)
         graphs = [random_connected_bipartite(rng, rng.randint(1, 14)) for _ in range(150)]
         graphs += [random_biblock(rng, rng.randint(1, 20)) for _ in range(150)]
-        graphs += [
-            from_edge_list(4, [(0, 1), (1, 2), (0, 2), (2, 3)]),  # triangle + pendant
-            cycle(5),
-            # C5 plus a chord: 6 edges, as many as K_{3,2} on the even and
-            # odd labels, so the edge count alone cannot reject it.
-            from_edge_list(5, [(i, (i + 1) % 5) for i in range(5)] + [(0, 2)]),
-            from_edge_list(4, [(u, v) for u in range(4) for v in range(u + 1, 4)]),
-            # C5 glued at vertex 4 to K_{2,3} on {4, 5} x {6, 7, 8}
-            from_edge_list(
-                9,
-                [(i, (i + 1) % 5) for i in range(5)]
-                + [(a, b) for a in (4, 5) for b in (6, 7, 8)],
-            ),
-        ]
+        graphs += hand_made_graphs()
         verdicts = [is_bi_block(g) for g in graphs]
-        assert verdicts == [via_tree(g) for g in graphs]
+        assert verdicts == [via_reference(g) for g in graphs]
         assert True in verdicts and False in verdicts
         assert verdicts[-5:] == [False] * 5
+
+    def test_builds_no_tree(self):
+        # is_bi_block must not cache a block-cut tree on its graph:
+        # enumeration asserts it on every graph it returns, and the
+        # cached trees of B(10) measured 4.9 MB (tracemalloc), about 12%
+        # of verify-theorem's 42 MB peak, above the benchmark's 0.1
+        # bound on peak_rss_mb.
+        g = from_edge_list(6, [(0, 1), (1, 2), (2, 3), (3, 0), (3, 4), (4, 5)])
+        assert is_bi_block(g)
+        assert g._blocks is None
 
 
 class TestBlockQueries:

@@ -2,6 +2,7 @@ import copy
 import io
 import json
 import math
+import random
 import sys
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import pytest
 from jsonschema import validate
 
 from biblock.cli import main
-from conftest import FIXTURES, SCHEMAS
+from conftest import FIXTURES, SCHEMAS, random_biblock
 
 
 def run_cli(capsys, *argv):
@@ -171,6 +172,20 @@ class TestNormalizeCommand:
         assert payload["step_count"] == len(payload["steps"])
         assert payload["rho_final"] >= payload["rho_initial"]
 
+    def test_delta_rho_has_12_decimals(self, capsys, tmp_path):
+        # delta_rho is a difference of two rho values each good to about
+        # 1e-15; this graph's 0.0598 step, printed to 12 significant
+        # digits, carried two digits of solver noise.
+        path = tmp_path / "g.edges"
+        path.write_text("9\n0 2\n0 3\n0 6\n0 8\n1 2\n1 3\n4 6\n4 7\n5 6\n")
+        code, out, _ = run_cli(
+            capsys, "normalize", "--input", str(path), "--format", "json"
+        )
+        assert code == 0
+        deltas = [step["delta_rho"] for step in json.loads(out)["steps"]]
+        assert deltas
+        assert all(d == round(d, 12) for d in deltas)
+
 
 class TestEnumerateCommand:
     def test_text_round_trip(self, capsys):
@@ -264,3 +279,52 @@ class TestExitCodes:
         assert out == "rho=2\n"
         code, _, err = run_cli(capsys, "alpha", "--input", str(path))
         assert code == 2
+
+
+def fuzzed_edge_lists(rng, count):
+    """Seeded edge-list texts with k in 0..40: bi-block, disconnected and
+    odd-cycle graphs, and texts with a duplicate edge, a self-loop, an
+    out-of-range label or a bad token.  k = 0 and k = 1 are refused."""
+    texts = []
+    for i in range(count):
+        k = rng.randint(0, 40)
+        edges = sorted(random_biblock(rng, max(k, 2)).edges)
+        kind = i % 7
+        if kind == 1:  # disconnected, unless the dropped edge closed a cycle
+            edges = edges[1:]
+        elif kind == 2 and k >= 3:  # add a triangle
+            edges = sorted(set(edges) | {(0, 1), (1, 2), (0, 2)})
+        elif kind == 3:
+            edges.append(rng.choice(edges))
+        elif kind == 4:
+            edges.append((rng.randrange(max(k, 1)),) * 2)
+        elif kind == 5:
+            edges.append((rng.choice([-1, k, k + 7]), 0))
+        lines = [str(k)] + [f"{u} {v}" for u, v in edges]
+        if kind == 6:
+            bad = rng.choice(["x y", "1", "0 1 2", "1.5 2", "--", "0x1 2", ""])
+            lines.insert(rng.randint(0, len(lines)), bad)
+        texts.append("\n".join(lines) + "\n")
+    return texts
+
+
+class TestRobustness:
+    COMMANDS = (
+        ("validate",),
+        ("decompose",),
+        ("alpha", "--witness"),
+        ("rho",),
+        ("identities",),
+        ("normalize",),
+    )
+
+    def test_fuzzed_inputs_answer_or_refuse(self, capsys, tmp_path):
+        codes = set()
+        for i, text in enumerate(fuzzed_edge_lists(random.Random(5), 150)):
+            path = tmp_path / f"g{i}.edges"
+            path.write_text(text)
+            for command in self.COMMANDS:
+                code, _, err = run_cli(capsys, *command, "--input", str(path))
+                assert code in (0, 2), (command, text, err)
+                codes.add(code)
+        assert codes == {0, 2}
