@@ -255,7 +255,7 @@ def _cmd_normalize(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     spec = enumeration.ClassSpec(args.k, args.alpha)
-    members = enumeration.enumerate_class(spec)
+    members = sorted(enumeration.enumerate_class(spec), key=graphs.canonical_form)
     if args.format == "json":
         payload = [
             {"k": g.k, "edges": [list(e) for e in sorted(g.edges)]} for g in members
@@ -359,9 +359,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once at import: parsing never changes it, and building it costs
+# more than answering a small query.
+PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = PARSER.parse_args(argv)
     try:
         return args.func(args)
     except VERIFICATION_ERRORS as exc:

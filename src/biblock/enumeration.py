@@ -1,12 +1,16 @@
 """Isomorph-free enumeration of connected bi-block graphs and the
 extremal verification sweep.
 
-Two generation routes exist on purpose.  The production route grows a
-tree of complete bipartite blocks, attaching one block at a time at an
-existing vertex and deduplicating by canonical form.  The cross-check
-route enumerates bipartite edge subsets outright and filters; it shares
-no logic with the block-tree route and pins down its correctness for
-small k.
+The production route generates block-cut-tree codes: every class of
+B(k) has exactly one code, taken at the centre of its block-cut tree
+and built from rooted pieces by multiset recursion on size (as in
+constant-time rooted-tree generation, Beyer & Hedetniemi 1980, with
+free trees taken by their centre, Wright, Richmond, Odlyzko & McKay
+1986).  One Graph is built per code, so no candidate is canonicalized
+or thrown away.  Two routes that share no logic with it serve as
+oracles: the edge-subset filter below, which enumerates bipartite edge
+subsets outright for small k, and the tests' block-attachment route,
+which glues one block at a time and deduplicates by canonical form.
 
 The extremal sweep computes each quantity once: ``verify_theorem``
 enumerates B(k) once, takes each graph's alpha once and partitions the
@@ -18,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 
 from .blocks import is_bi_block
 from .errors import (
@@ -37,7 +42,11 @@ from .graphs import (
 from .independence import alpha_matching
 from .spectral import perron
 
-GENERATION_CAP = 10
+# verify-theorem --k 13 (24473 classes) takes about 7.4 s of CPU and
+# 145 MB peak RSS.  Every graph of B(k) stays alive with its cached
+# dense matrix and edge set, so memory, not time, stops k = 14 (80570
+# classes): about 31 s and 445 MB.
+GENERATION_CAP = 13
 FILTER_CAP = 7
 UNIQUENESS_BAND = 1e-9
 
@@ -54,50 +63,149 @@ class ClassSpec:
     alpha: int | None = None
 
 
-def _attach_block(g: Graph, w: int, a: int, b: int) -> Graph:
-    """Glue a new K_{a,b} at vertex w, with w on the a-sized side."""
-    j = (a - 1) + b
-    k_new = g.k + j
-    adj = list(g.adj) + [0] * j
-    m_side = [w] + list(range(g.k, g.k + a - 1))
-    n_side = list(range(g.k + a - 1, g.k + a - 1 + b))
-    for u in m_side:
-        for v in n_side:
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-    return Graph(k_new, tuple(adj))
+def _block_shapes(n: int):
+    """(a, b) of every block on at most n vertices: K_{1,1}, or K_{a,b}
+    with a, b >= 2.  K_{1,b} with b >= 2 is b blocks, not one."""
+    yield 1, 1
+    for a in range(2, n - 1):
+        for b in range(2, n - a + 1):
+            yield a, b
+
+
+def _multisets(ids_of_size: list[list[int]], total: int, count: int | None = None,
+               smallest: int = 1):
+    """Sorted tuples of ids whose sizes sum to total, with exactly count
+    ids when count is given.
+
+    ``ids_of_size[s]`` lists the ids of size s in increasing order, and
+    ids grow with size, so taking sizes in increasing order and
+    repetitions by ``combinations_with_replacement`` yields each
+    multiset once, already sorted.
+    """
+    if total == 0:
+        if not count:
+            yield ()
+        return
+    if count == 0:
+        return
+    for s in range(smallest, min(total, len(ids_of_size) - 1) + 1):
+        ids = ids_of_size[s]
+        for c in range(1, total // s + 1):
+            if count is not None and c > count:
+                break
+            tails = list(_multisets(
+                ids_of_size, total - s * c, None if count is None else count - c, s + 1
+            ))
+            for head in combinations_with_replacement(ids, c):
+                for tail in tails:
+                    yield head + tail
+
+
+def _generate(k: int):
+    """One Graph per isomorphism class of B(k), from block-cut-tree codes.
+
+    A rooted piece at a vertex r is the multiset of branches at r; a
+    branch is one block K_{a,b} through r, with r on its a-side, given
+    by the pieces hanging at its other a-1 vertices on r's side (near)
+    and at its b vertices on the other side (far).  Heights: a bare
+    vertex has height 0, a branch 1 + the largest height of its pieces,
+    a piece the height of its tallest branch.
+
+    Every leaf of the block-cut tree is a block, so the tree has even
+    diameter and one centre node, which is an invariant of the graph:
+    - a cut vertex c exactly when at least two branches at c share the
+      largest height; the code is the piece at c;
+    - a block K_{a,b} (a <= b) exactly when at least two of its
+      vertices' pieces share the largest height; the code is the
+      multisets of pieces on its two sides, an unordered pair when
+      a == b.
+    Each class therefore has exactly one code.  Pieces and branches are
+    numbered in increasing size, so sorted tuples of ids are canonical
+    multisets.  The tables stop at k - 2 vertices, a piece counting its
+    root and a branch not: a centre with a larger piece or branch has a
+    single tallest one.
+    """
+    pieces: list[tuple[int, ...]] = [()]  # piece id -> its branch ids; 0 is bare
+    piece_height = [0]
+    pieces_of_size: list[list[int]] = [[], [0]]  # by vertex count, root included
+    branches: list[tuple[tuple[int, ...], tuple[int, ...]]] = []  # (near, far)
+    branch_height: list[int] = []
+    branches_of_size: list[list[int]] = [[]]  # by vertex count, root excluded
+    for s in range(1, k - 1):
+        ids = []
+        for a, b in _block_shapes(s + 1):
+            for near_total in range(a - 1, s - b + 1):
+                fars = list(_multisets(pieces_of_size, s - near_total, b))
+                for near in _multisets(pieces_of_size, near_total, a - 1):
+                    for far in fars:
+                        ids.append(len(branches))
+                        branches.append((near, far))
+                        branch_height.append(1 + max(piece_height[p] for p in near + far))
+        branches_of_size.append(ids)
+        if s + 1 <= k - 2:
+            ids = []
+            for ms in _multisets(branches_of_size, s):
+                ids.append(len(pieces))
+                pieces.append(ms)
+                piece_height.append(max(branch_height[x] for x in ms))
+            pieces_of_size.append(ids)
+
+    def build(adj: list[int], free: int, todo: list[tuple[int, tuple[int, ...]]]) -> Graph:
+        """Hang each (vertex, branch ids) of todo, labelling new vertices from free."""
+        while todo:
+            v, at_v = todo.pop()
+            for bid in at_v:
+                near, far = branches[bid]
+                one = [v, *range(free, free + len(near))]
+                two = range(free + len(near), free + len(near) + len(far))
+                free = two.stop
+                _join(adj, one, two)
+                todo.extend((u, pieces[p]) for u, p in zip(one[1:], near))
+                todo.extend((u, pieces[p]) for u, p in zip(two, far))
+        return Graph(k, tuple(adj))
+
+    def shares_top(heights: list[int]) -> bool:
+        return heights.count(max(heights)) >= 2
+
+    for ms in _multisets(branches_of_size, k - 1):
+        if shares_top([branch_height[x] for x in ms]):
+            yield build([0] * k, 1, [(0, ms)])
+    for a, b in _block_shapes(k):
+        if a > b:
+            continue
+        for a_total in range(a, k - b + 1):
+            sides_b = list(_multisets(pieces_of_size, k - a_total, b))
+            for side_a in _multisets(pieces_of_size, a_total, a):
+                for side_b in sides_b:
+                    if a == b and side_a > side_b:
+                        continue
+                    if not shares_top([piece_height[p] for p in side_a + side_b]):
+                        continue
+                    adj = [0] * k
+                    _join(adj, range(a), range(a, a + b))
+                    todo = [(u, pieces[p]) for u, p in enumerate(side_a + side_b)]
+                    yield build(adj, a + b, todo)
+
+
+def _join(adj: list[int], one, two) -> None:
+    """Add every edge between the vertex lists one and two."""
+    mask_one = sum(1 << u for u in one)
+    mask_two = sum(1 << w for w in two)
+    for u in one:
+        adj[u] |= mask_two
+    for w in two:
+        adj[w] |= mask_one
 
 
 def enumerate_biblock(k: int) -> list[Graph]:
     """All connected bi-block graphs on k vertices, one per isomorphism
-    class, sorted by canonical form."""
+    class, in the deterministic order of their block-cut-tree codes:
+    graphs centred at a cut vertex first, then those centred at a block."""
     if k < 2:
         raise InvalidSizeError(f"enumeration needs k >= 2, got {k}")
     if k > GENERATION_CAP:
         raise TooLargeError(f"generation capped at k <= {GENERATION_CAP}, got {k}")
-    results: dict[CanonicalForm, Graph] = {}
-    seen: set[CanonicalForm] = set()
-    stack: list[Graph] = []
-
-    def visit(g: Graph) -> None:
-        c = canonical_form(g)
-        if g.k == k:
-            results.setdefault(c, g)
-        elif c not in seen:
-            seen.add(c)
-            stack.append(g)
-
-    for a in range(1, k + 1):
-        for b in range(a, k - a + 1):
-            visit(complete_bipartite(a, b))
-    while stack:
-        g = stack.pop()
-        budget = k - g.k
-        for w in range(g.k):
-            for j in range(1, budget + 1):
-                for a in range(1, j + 1):
-                    visit(_attach_block(g, w, a, j - a + 1))
-    out = sorted(results.values(), key=lambda g: canonical_form(g).data)
+    out = list(_generate(k))
     assert all(is_bi_block(g) for g in out)
     return out
 

@@ -58,7 +58,7 @@ class NotNeighborsError(BiblockError):
 
 
 class TooLargeError(BiblockError):
-    """The instance exceeds the stated brute-force size cap."""
+    """The instance exceeds a stated size cap."""
 
 
 class NotMaximumError(BiblockError):

@@ -2,8 +2,11 @@ import copy
 import io
 import json
 import math
+import os
 import random
+import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -19,10 +22,20 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_fresh(*argv, hash_seed="0"):
+    """Run the CLI in a new interpreter; the completed process."""
+    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONHASHSEED=hash_seed)
+    return subprocess.run(
+        [sys.executable, "-m", "biblock.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
 def load_schema(name):
     return json.loads((SCHEMAS / name).read_text())
 
 
+SRC = Path(__file__).parent.parent / "src"
 P3 = str(FIXTURES / "p3.edges")
 K23 = str(FIXTURES / "k23.edges")
 FIG1 = str(FIXTURES / "fig1.edges")
@@ -65,6 +78,26 @@ class TestBasicCommands:
         assert payload["k"] == 21
         assert len(payload["blocks"]) == 8
         assert payload["cut_vertices"] == [1, 4, 5]
+
+
+class TestParser:
+    def test_main_does_not_rebuild_the_parser(self, capsys, monkeypatch):
+        from biblock import cli
+
+        def rebuilt():
+            raise AssertionError("main rebuilt the parser")
+
+        monkeypatch.setattr(cli, "build_parser", rebuilt)
+        code, out, _ = run_cli(capsys, "alpha", "--input", P3)
+        assert (code, out) == (0, "alpha=2\n")
+
+    def test_usage_error_leaves_the_parser_as_fresh(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify-theorem", "--k"])
+        assert exc.value.code == 2
+        code, out, _ = run_cli(capsys, "verify-theorem", "--k", "5")
+        fresh = run_fresh("verify-theorem", "--k", "5")
+        assert (code, out) == (fresh.returncode, fresh.stdout)
 
 
 class TestIdentitiesCommand:
@@ -214,6 +247,25 @@ class TestEnumerateCommand:
         )
         assert len(json.loads(out)) == 1
 
+    def test_k7_json_in_canonical_order(self, capsys):
+        from biblock import canonical_form, from_edge_list, is_bi_block
+
+        code, out, _ = run_cli(
+            capsys, "enumerate", "--k", "7", "--format", "json"
+        )
+        assert code == 0
+        members = [from_edge_list(item["k"], item["edges"]) for item in json.loads(out)]
+        forms = [canonical_form(g) for g in members]
+        assert forms == sorted(forms)
+        assert len(set(forms)) == 33
+        assert all(is_bi_block(g) for g in members)
+
+    def test_same_bytes_under_any_hash_seed(self):
+        runs = [run_fresh("enumerate", "--k", "8", hash_seed=seed) for seed in ("1", "2")]
+        assert [r.returncode for r in runs] == [0, 0]
+        assert runs[0].stdout == runs[1].stdout
+        assert runs[0].stdout.count("\n\n") == 93
+
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "graphs.txt"
         code, out, _ = run_cli(
@@ -317,6 +369,23 @@ class TestRobustness:
         ("identities",),
         ("normalize",),
     )
+
+    def test_path_at_the_size_limit_answers(self, capsys, tmp_path):
+        path = tmp_path / "p3000.edges"
+        path.write_text("3000\n" + "".join(f"{i} {i + 1}\n" for i in range(2999)))
+        code, out, err = run_cli(capsys, "validate", "--input", str(path))
+        assert code == 0, err
+        assert "bi_block=true" in out
+
+    @pytest.mark.parametrize("k", [3001, 10**9])
+    def test_header_above_the_size_limit_is_refused(self, capsys, tmp_path, k):
+        path = tmp_path / "big.edges"
+        path.write_text(f"{k}\n0 1\n")
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "validate", "--input", str(path))
+        assert time.perf_counter() - start < 0.5
+        assert (code, out) == (2, "")
+        assert "capped at k <= 3000" in err
 
     def test_fuzzed_inputs_answer_or_refuse(self, capsys, tmp_path):
         codes = set()

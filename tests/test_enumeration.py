@@ -19,15 +19,28 @@ from biblock import (
 )
 from biblock.errors import EmptyClassError, InvalidSizeError, TooLargeError
 from biblock.graphs import is_bipartite
+from conftest import enumerate_by_attachment
 
-# Counts frozen from the dual-path cross-validation and regression runs.
-KNOWN_COUNTS = {2: 1, 3: 1, 4: 3, 5: 5, 6: 14, 7: 33, 8: 94, 9: 260}
+# Counts frozen from the dual-path cross-validation and regression runs;
+# 10..12 from the block-attachment route with canonical-form dedup.
+KNOWN_COUNTS = {
+    2: 1, 3: 1, 4: 3, 5: 5, 6: 14, 7: 33, 8: 94, 9: 260,
+    10: 786, 11: 2394, 12: 7599,
+}
+
+
+@pytest.fixture(scope="module")
+def biblock_forms(biblock_by_k):
+    """Canonical forms of the generator's output for k = 2..12, in order."""
+    by_k = dict(biblock_by_k)
+    by_k.update((k, enumerate_biblock(k)) for k in (10, 11, 12))
+    return {k: [canonical_form(g) for g in gs] for k, gs in by_k.items()}
 
 
 class TestEnumerateBiblock:
-    def test_counts_frozen(self, biblock_by_k):
+    def test_counts_frozen(self, biblock_forms):
         for k, count in KNOWN_COUNTS.items():
-            assert len(biblock_by_k[k]) == count
+            assert len(biblock_forms[k]) == count
 
     def test_k2_single_edge(self, biblock_by_k):
         (g,) = biblock_by_k[2]
@@ -37,9 +50,9 @@ class TestEnumerateBiblock:
         (g,) = biblock_by_k[3]
         assert is_isomorphic(g, complete_bipartite(1, 2))
 
-    def test_no_isomorph_duplicates(self, biblock_by_k):
-        for k in range(2, 10):
-            forms = [canonical_form(g) for g in biblock_by_k[k]]
+    def test_no_isomorph_duplicates(self, biblock_forms):
+        for k in range(2, 13):
+            forms = biblock_forms[k]
             assert len(set(forms)) == len(forms)
 
     def test_emitted_graphs_are_valid(self, biblock_by_k):
@@ -52,14 +65,9 @@ class TestEnumerateBiblock:
                 assert is_bi_block(g)
                 assert lo <= alpha_matching(g).alpha <= hi
 
-    def test_sorted_by_canonical_form(self, biblock_by_k):
-        for k in (6, 7):
-            forms = [canonical_form(g).data for g in biblock_by_k[k]]
-            assert forms == sorted(forms)
-
     def test_size_limits(self):
         with pytest.raises(TooLargeError):
-            enumerate_biblock(11)
+            enumerate_biblock(14)
         with pytest.raises(InvalidSizeError):
             enumerate_biblock(1)
 
@@ -70,6 +78,10 @@ class TestDualPath:
         tree_forms = {canonical_form(g) for g in biblock_by_k[k]}
         filter_forms = {canonical_form(g) for g in enumerate_biblock_filtered(k)}
         assert tree_forms == filter_forms
+
+    @pytest.mark.parametrize("k", range(2, 11))
+    def test_matches_attachment_route(self, k, biblock_forms):
+        assert set(biblock_forms[k]) == set(enumerate_by_attachment(k))
 
     def test_filter_cap(self):
         with pytest.raises(TooLargeError):
