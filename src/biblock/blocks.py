@@ -23,7 +23,7 @@ from .errors import (
     OutOfRangeError,
     SingleBlockError,
 )
-from .graphs import Graph, induced_subgraph, is_connected
+from .graphs import Graph, _bits, induced_subgraph, is_connected
 
 
 @dataclass(frozen=True)
@@ -95,7 +95,7 @@ def _biconnected_edge_components(
     comps: list[list[tuple[int, int]]] = []
     disc[0] = low[0] = 0
     timer = 1
-    frames = [(0, -1, iter(g.neighbors(0)))]
+    frames = [(0, -1, _bits(g.adj[0]))]
     while frames:
         u, parent, nbrs = frames[-1]
         for v in nbrs:
@@ -104,7 +104,7 @@ def _biconnected_edge_components(
                 disc[v] = low[v] = timer
                 side[v] = side[u] ^ 1
                 timer += 1
-                frames.append((v, u, iter(g.neighbors(v))))
+                frames.append((v, u, _bits(g.adj[v])))
                 break
             if v != parent and disc[v] < disc[u]:
                 edges.append((u, v))
@@ -173,9 +173,12 @@ def is_bi_block(g: Graph) -> bool:
     """True iff g is connected and every block is complete bipartite.
 
     Reads the same blocks as ``decompose`` but builds and caches no
-    block-cut tree: enumeration asserts ``is_bi_block`` on every graph
-    it returns, and cached trees for all of B(10) would hold about
-    4.9 MB, about an eighth of ``verify-theorem``'s peak memory.
+    block-cut tree.  Enumeration asserts ``is_bi_block`` on every graph
+    it returns and never reads a tree afterwards, and cached trees for
+    all of B(10) would hold about 4.9 MB, about an eighth of
+    ``verify-theorem``'s peak memory.  The rewrite system checks
+    bi-block-ness through ``decompose`` instead, because the next
+    ``find_applicable`` reads the cached tree of every graph it checks.
     """
     return is_connected(g) and all(blk.parts is not None for blk in _blocks(g))
 

@@ -51,7 +51,7 @@ def _emit_json(obj) -> None:
 
 def _read_graph(path: str) -> graphs.Graph:
     if path == "-":
-        return graphs.parse_edge_list(sys.stdin.read())
+        return graphs.parse_edge_list(sys.stdin)
     return graphs.read_edge_list(path)
 
 

@@ -8,6 +8,8 @@ when they are isomorphic.
 
 from __future__ import annotations
 
+import io
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .errors import (
@@ -51,16 +53,11 @@ class Graph:
     def edges(self) -> frozenset[tuple[int, int]]:
         """Edge set as sorted pairs (u, v) with u < v."""
         if self._edges is None:
-            es = []
-            for u in range(self.k):
-                m = self.adj[u] >> (u + 1)
-                v = u + 1
-                while m:
-                    if m & 1:
-                        es.append((u, v))
-                    m >>= 1
-                    v += 1
-            self._edges = frozenset(es)
+            self._edges = frozenset(
+                (u, v)
+                for u in range(self.k)
+                for v in _bits(self.adj[u] >> (u + 1) << (u + 1))
+            )
         return self._edges
 
     @property
@@ -73,6 +70,12 @@ class Graph:
         return bool(self.adj[u] >> v & 1)
 
     def neighbors(self, u: int) -> tuple[int, ...]:
+        """Neighbours of u in ascending order, after a range check on u.
+
+        Public convenience only: the hot loops (the lowpoint DFS,
+        Hopcroft-Karp, the 2-colouring) read ``adj[u]`` bits directly
+        and never pay for the check or the tuple.
+        """
         self._check_vertex(u)
         return tuple(_bits(self.adj[u]))
 
@@ -110,6 +113,14 @@ def _bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _mask(vertices) -> int:
+    """The bitmask with bit v set for each listed vertex v."""
+    m = 0
+    for v in vertices:
+        m |= 1 << v
+    return m
 
 
 # Largest vertex count a graph may be built with from outside input.  The
@@ -211,46 +222,55 @@ class Bipartition:
 
 
 def bipartition(g: Graph) -> Bipartition:
-    """2-color a connected graph by breadth-first layering.
+    """2-color a connected graph by breadth-first layering on bitmasks.
 
-    The side containing vertex 0 is M, which makes the output
-    deterministic.  Raises OddCycleError for non-bipartite input and
-    DisconnectedError if some vertex is unreachable from 0.
+    Each BFS layer is one mask, the OR of the previous layer's rows less
+    the vertices already seen; even layers form M, the side containing
+    vertex 0, which makes the output deterministic.  Raises
+    DisconnectedError if some vertex is unreachable from 0, else
+    OddCycleError naming the first same-side edge (u, v), smallest u then
+    smallest v, found by AND-ing each row with its own side.
     """
-    color = [-1] * g.k
-    color[0] = 0
-    queue = [0]
-    while queue:
-        nxt = []
-        for u in queue:
-            cu = color[u]
-            for v in _bits(g.adj[u]):
-                if color[v] == -1:
-                    color[v] = 1 - cu
-                    nxt.append(v)
-        queue = nxt
-    if -1 in color:
+    adj = g.adj
+    sides = [1, 0]
+    seen = frontier = 1
+    layer = 0
+    while frontier:
+        nxt = 0
+        for u in _bits(frontier):
+            nxt |= adj[u]
+        frontier = nxt & ~seen
+        seen |= frontier
+        layer ^= 1
+        sides[layer] |= frontier
+    if seen != (1 << g.k) - 1:
         raise DisconnectedError("graph is not connected")
+    m, n = sides
     for u in range(g.k):
-        for v in _bits(g.adj[u]):
-            if color[u] == color[v]:
-                raise OddCycleError(
-                    f"odd cycle: edge ({u}, {v}) joins same-color vertices"
-                )
-    m = frozenset(u for u in range(g.k) if color[u] == 0)
-    n = frozenset(u for u in range(g.k) if color[u] == 1)
-    return Bipartition(m, n)
+        same = adj[u] & (m if m >> u & 1 else n)
+        if same:
+            v = (same & -same).bit_length() - 1
+            raise OddCycleError(
+                f"odd cycle: edge ({u}, {v}) joins same-color vertices"
+            )
+    return Bipartition(frozenset(_bits(m)), frozenset(_bits(n)))
 
 
 def is_complete_bipartite(g: Graph) -> bool:
-    """True iff g is connected and equals K(M, N) for its 2-coloring."""
-    if g.k < 2 or not is_connected(g):
+    """True iff g is connected and equals K(M, N) for its 2-coloring.
+
+    Compares rows instead of 2-colouring: with N = adj[0] and M its
+    complement, g is K(M, N) exactly when N is non-empty, every row of M
+    equals N and every row of N equals M.
+    """
+    if g.k < 2:
         return False
-    try:
-        bp = bipartition(g)
-    except OddCycleError:
+    adj = g.adj
+    n = adj[0]
+    if not n:
         return False
-    return g.edge_count == len(bp.M) * len(bp.N)
+    m = ((1 << g.k) - 1) ^ n
+    return all(adj[u] == n for u in _bits(m)) and all(adj[u] == m for u in _bits(n))
 
 
 def is_bipartite(g: Graph) -> bool:
@@ -299,9 +319,7 @@ def induced_subgraph(g: Graph, vertices) -> tuple[Graph, dict[int, int]]:
     for u in kept:
         g._check_vertex(u)
     old_to_new = {u: i for i, u in enumerate(kept)}
-    kept_mask = 0
-    for u in kept:
-        kept_mask |= 1 << u
+    kept_mask = _mask(kept)
     adj = []
     for u in kept:
         m = 0
@@ -461,27 +479,46 @@ def is_isomorphic(g: Graph, h: Graph) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def parse_edge_list(text: str) -> Graph:
+def _edge_list_bodies(lines: Iterable[str]):
+    """Non-blank line bodies with '#' comments cut, read one line at a time.
+
+    Each read line is split again with ``str.splitlines`` so every line
+    boundary that splitting the whole text would find is found here too.
+    """
+    for chunk in lines:
+        for line in chunk.splitlines():
+            body = line.split("#", 1)[0].strip()
+            if body:
+                yield body
+
+
+def parse_edge_list(text: str | Iterable[str]) -> Graph:
     """Parse the text format: first line k, then one 'u v' line per edge.
 
-    Labels are 0-based; anything after '#' on a line is a comment.  The
-    vertex count is checked against 1..MAX_K before any edge line is
-    parsed.
+    ``text`` is a string or an iterable of lines such as an open text
+    file, read lazily.  Labels are 0-based; anything after '#' on a line
+    is a comment.  The vertex count is checked against 1..MAX_K before
+    any edge line is parsed, and reading stops with TooLargeError at
+    edge line k(k-1)/2 + 1, since no simple graph on k vertices has more
+    edges, so an over-long input is refused without being read whole.
     """
-    rows = []
-    for line in text.splitlines():
-        body = line.split("#", 1)[0].strip()
-        if body:
-            rows.append(body)
-    if not rows:
+    bodies = _edge_list_bodies(io.StringIO(text) if isinstance(text, str) else text)
+    header = next(bodies, None)
+    if header is None:
         raise InvalidSizeError("empty edge-list input")
     try:
-        k = int(rows[0])
+        k = int(header)
     except ValueError:
-        raise InvalidSizeError(f"first line must be the vertex count, got {rows[0]!r}")
+        raise InvalidSizeError(f"first line must be the vertex count, got {header!r}")
     _check_vertex_count(k)
+    most = k * (k - 1) // 2
     pairs = []
-    for body in rows[1:]:
+    for body in bodies:
+        if len(pairs) == most:
+            raise TooLargeError(
+                f"more than k(k-1)/2 = {most} edge lines for k = {k}: "
+                "no simple graph has more edges"
+            )
         parts = body.split()
         if len(parts) != 2:
             raise InvalidSizeError(f"edge line must be 'u v', got {body!r}")
@@ -498,7 +535,7 @@ def format_edge_list(g: Graph) -> str:
 
 def read_edge_list(path: str) -> Graph:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_edge_list(fh.read())
+        return parse_edge_list(fh)
 
 
 def write_edge_list(g: Graph, path: str) -> None:

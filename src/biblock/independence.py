@@ -20,7 +20,7 @@ from .errors import (
     SingleBlockError,
     TooLargeError,
 )
-from .graphs import Graph, bipartition, induced_subgraph
+from .graphs import Graph, _bits, _mask, bipartition, induced_subgraph
 
 BRUTE_FORCE_CAP = 24
 
@@ -82,7 +82,7 @@ def _hopcroft_karp(g: Graph, left: list[int]) -> dict[int, int]:
         found = False
         while q:
             u = q.popleft()
-            for w in g.neighbors(u):
+            for w in _bits(g.adj[u]):
                 mate = match_r.get(w)
                 if mate is None:
                     found = True
@@ -92,7 +92,7 @@ def _hopcroft_karp(g: Graph, left: list[int]) -> dict[int, int]:
         return found
 
     def dfs(u: int) -> bool:
-        for w in g.neighbors(u):
+        for w in _bits(g.adj[u]):
             mate = match_r.get(w)
             if mate is None or (dist[mate] == dist[u] + 1 and dfs(mate)):
                 match_l[u] = w
@@ -128,7 +128,7 @@ def alpha_matching(g: Graph) -> AlphaResult:
     while frontier:
         nxt = []
         for u in frontier:
-            for w in g.neighbors(u):
+            for w in _bits(g.adj[u]):
                 if w in reached or match_l.get(u) == w:
                     continue
                 reached.add(w)
@@ -146,9 +146,7 @@ def alpha_matching(g: Graph) -> AlphaResult:
 
 
 def _is_independent(g: Graph, vertices) -> bool:
-    mask = 0
-    for v in vertices:
-        mask |= 1 << v
+    mask = _mask(vertices)
     return all(g.adj[v] & mask == 0 for v in vertices)
 
 

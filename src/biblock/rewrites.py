@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .blocks import Block, BlockCutTree, decompose, is_bi_block
+from .blocks import Block, BlockCutTree, decompose
 from .errors import (
     BadSplitError,
     BlockIndexTooSmallError,
@@ -32,7 +32,7 @@ from .errors import (
     PreconditionFailedError,
     StuckError,
 )
-from .graphs import Graph, from_edge_list, is_complete_bipartite
+from .graphs import Graph, _mask, is_complete_bipartite, is_connected
 from .independence import alpha_bruteforce, alpha_matching, _is_independent
 from .spectral import RHO_MARGIN, perron
 
@@ -155,12 +155,30 @@ def _target_sides(step: RewriteStep) -> tuple[frozenset[int], frozenset[int]]:
 
 
 def _edit(g: Graph, step: RewriteStep) -> Graph:
-    """Pure edge edit: replace the affected region with K(side1, side2)."""
+    """Pure edge edit: replace the affected region with K(side1, side2).
+
+    Rows outside the region keep every edge; each region row drops its
+    edges into the region and gains the other side.
+    """
     side1, side2 = _target_sides(step)
     region = side1 | side2
-    kept = [(u, w) for u, w in g.edges if u not in region or w not in region]
-    cross = [(a, b) for a in sorted(side1) for b in sorted(side2)]
-    return from_edge_list(g.k, kept + cross)
+    for v in sorted(region):
+        if not 0 <= v < g.k:
+            raise OutOfRangeError(f"vertex {v} not in 0..{g.k - 1}")
+    m1, m2 = _mask(side1), _mask(side2)
+    keep = ~(m1 | m2)
+    adj = list(g.adj)
+    for u in side1:
+        adj[u] = adj[u] & keep | m2
+    for u in side2:
+        adj[u] = adj[u] & keep | m1
+    return Graph(g.k, tuple(adj))
+
+
+def _is_bi_block(g: Graph) -> bool:
+    """``blocks.is_bi_block`` read off ``decompose(g)``, whose cached tree
+    the next ``find_applicable`` on g reads, so no second DFS runs."""
+    return is_connected(g) and all(blk.parts is not None for blk in decompose(g).blocks)
 
 
 def apply_step(g: Graph, step: RewriteStep) -> RewriteOutcome:
@@ -168,7 +186,11 @@ def apply_step(g: Graph, step: RewriteStep) -> RewriteOutcome:
 
     Raises PostconditionViolationError if the vertex count changes, the
     independence number moves, the result stops being bi-block, or the
-    spectral radius drops by more than the numerical margin.
+    spectral radius drops by more than the numerical margin.  Each check
+    recomputes from the result graph; the bi-block check goes through
+    ``decompose(result)``, so it builds the block-cut tree that the next
+    ``find_applicable`` reads.  A no-op step returns its outcome before
+    any check on the result.
     """
     result = _edit(g, step)
     if result.k != g.k:
@@ -188,7 +210,7 @@ def apply_step(g: Graph, step: RewriteStep) -> RewriteOutcome:
             edges_added=(),
             edges_removed=(),
         )
-    if not is_bi_block(result):
+    if not _is_bi_block(result):
         raise PostconditionViolationError(f"{step.case}: result is not bi-block")
     alpha_after = alpha_matching(result).alpha
     if alpha_after != alpha_before:
@@ -638,13 +660,16 @@ def normalize(g: Graph) -> tuple[Graph, list[RewriteOutcome]]:
     """Carry a bi-block graph to the complete bipartite graph K(alpha, k-alpha).
 
     Applies index reductions until every cut vertex lies in two units,
-    then leaf-directed moves until one unit remains.  Degenerate no-op
-    steps are skipped; every applied step changes the edge set, so the
-    unit count strictly decreases and the loop terminates.
+    then leaf-directed moves until one unit remains.  Each candidate is
+    handed to ``apply_step`` in order and the first that changes the
+    graph is taken, so every applied step's result is built once;
+    degenerate no-op steps are skipped.  Every applied step changes the
+    edge set, so the unit count strictly decreases and the loop
+    terminates.
     """
     if g.k == 1:
         return g, []
-    if not is_bi_block(g):
+    if not _is_bi_block(g):
         raise NotBiBlockError("normalize requires a bi-block graph")
     cur = g
     outcomes: list[RewriteOutcome] = []
@@ -653,14 +678,12 @@ def normalize(g: Graph) -> tuple[Graph, list[RewriteOutcome]]:
         if len(outcomes) > bound:
             raise StuckError("step budget exceeded without reaching one block")
         witness = alpha_bruteforce(cur).witness
-        chosen = None
         for step in find_applicable(cur, witness):
-            if _edit(cur, step) != cur:
-                chosen = step
+            outcome = apply_step(cur, step)
+            if outcome.result != cur:
                 break
-        if chosen is None:
+        else:
             raise StuckError("no applicable step with a real edge edit")
-        outcome = apply_step(cur, chosen)
         outcomes.append(outcome)
         cur = outcome.result
     return cur, outcomes

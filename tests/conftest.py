@@ -12,6 +12,9 @@ from biblock import (
     is_connected,
     read_edge_list,
 )
+from biblock.errors import DisconnectedError, OddCycleError
+from biblock.graphs import Bipartition, relabel
+from biblock.rewrites import _target_sides
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SCHEMAS = Path(__file__).parent.parent / "schemas"
@@ -103,3 +106,106 @@ def enumerate_by_attachment(k: int) -> dict:
                 for a in range(1, j + 1):
                     visit(_attach_block(g, w, a, j - a + 1))
     return results
+
+
+# ---------------------------------------------------------------------------
+# Oracles for the bitmask structure code: the vertex-by-vertex versions it
+# replaced, kept as independent checks.
+# ---------------------------------------------------------------------------
+
+
+def bipartition_bfs(g) -> Bipartition:
+    """Oracle for ``graphs.bipartition``: per-vertex colours by BFS, then
+    every edge checked in (u, v) order."""
+    color = [-1] * g.k
+    color[0] = 0
+    queue = [0]
+    while queue:
+        nxt = []
+        for u in queue:
+            for v in g.neighbors(u):
+                if color[v] == -1:
+                    color[v] = 1 - color[u]
+                    nxt.append(v)
+        queue = nxt
+    if -1 in color:
+        raise DisconnectedError("graph is not connected")
+    for u in range(g.k):
+        for v in g.neighbors(u):
+            if color[u] == color[v]:
+                raise OddCycleError(
+                    f"odd cycle: edge ({u}, {v}) joins same-color vertices"
+                )
+    m = frozenset(u for u in range(g.k) if color[u] == 0)
+    n = frozenset(u for u in range(g.k) if color[u] == 1)
+    return Bipartition(m, n)
+
+
+def is_complete_bipartite_by_count(g) -> bool:
+    """Oracle for ``graphs.is_complete_bipartite``: connected, 2-colourable,
+    and |M| * |N| edges."""
+    if g.k < 2 or not is_connected(g):
+        return False
+    try:
+        bp = bipartition_bfs(g)
+    except OddCycleError:
+        return False
+    return g.edge_count == len(bp.M) * len(bp.N)
+
+
+def edit_by_edge_list(g, step):
+    """Oracle for ``rewrites._edit``: keep every edge with an end outside
+    the region, add all of side1 x side2, rebuild from the edge list."""
+    side1, side2 = _target_sides(step)
+    region = side1 | side2
+    kept = [(u, w) for u, w in g.edges if u not in region or w not in region]
+    cross = [(a, b) for a in sorted(side1) for b in sorted(side2)]
+    return from_edge_list(g.k, kept + cross)
+
+
+def outcome(fn, *args):
+    """What a call gives: its value, or its exception type and message."""
+    try:
+        return "value", fn(*args)
+    except Exception as exc:  # compared, never swallowed: both sides must agree
+        return type(exc), str(exc)
+
+
+def structure_cases(rng: random.Random, rounds: int) -> list:
+    """Seeded graphs of every shape the structure code must handle: k = 1,
+    and per round randomly relabelled connected bipartite, bi-block,
+    odd-cycle, random (often disconnected), edgeless, star, K_{a,b} less
+    one edge, and two disjoint K_{a,b} graphs."""
+
+    def shuffled(g):
+        perm = list(range(g.k))
+        rng.shuffle(perm)
+        return relabel(g, perm)
+
+    cases = [from_edge_list(1, [])]
+    for _ in range(rounds):
+        k = rng.randint(2, 14)
+        bip = random_connected_bipartite(rng, k)
+        cases += [shuffled(bip), shuffled(random_biblock(rng, k))]
+        if k >= 3:
+            side = [u for u in range(k) if bip.adj[u] & 1]
+            if len(side) >= 2:
+                u, v = rng.sample(side, 2)
+                cases.append(shuffled(
+                    from_edge_list(k, sorted(bip.edges | {(min(u, v), max(u, v))}))
+                ))
+        p = rng.uniform(0.1, 0.6)
+        cases.append(from_edge_list(
+            k, [(u, v) for u in range(k) for v in range(u + 1, k) if rng.random() < p]
+        ))
+        cases.append(from_edge_list(k, []))
+        cases.append(shuffled(complete_bipartite(1, k - 1)))
+        a = rng.randint(1, k - 1)
+        kab = complete_bipartite(a, k - a)
+        cut = rng.choice(sorted(kab.edges))
+        cases.append(shuffled(from_edge_list(k, sorted(kab.edges - {cut}))))
+        a, b = rng.randint(1, 4), rng.randint(1, 4)
+        one = sorted(complete_bipartite(a, b).edges)
+        two = one + [(u + a + b, v + a + b) for u, v in one]
+        cases.append(shuffled(from_edge_list(2 * (a + b), two)))
+    return cases

@@ -387,6 +387,34 @@ class TestRobustness:
         assert (code, out) == (2, "")
         assert "capped at k <= 3000" in err
 
+    def test_edge_lines_at_the_bound_answer(self, capsys, tmp_path):
+        path = tmp_path / "triangle.edges"
+        path.write_text("3\n0 1\n1 2\n0 2\n")
+        code, out, err = run_cli(capsys, "validate", "--input", str(path))
+        assert code == 0, err
+        assert "edges=3" in out and "bipartite=false" in out
+
+    @pytest.mark.parametrize("lines", [7, 10**6])
+    def test_edge_lines_past_the_bound_are_refused(self, capsys, tmp_path, lines):
+        path = tmp_path / "long.edges"
+        path.write_text("3\n" + "0 1\n" * lines)
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "validate", "--input", str(path))
+        assert time.perf_counter() - start < 0.5
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: more than k(k-1)/2 = 3 edge lines for k = 3: "
+            "no simple graph has more edges\n"
+        )
+
+    def test_long_stdin_is_refused(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.StringIO("3\n" + "0 1\n" * 10**6))
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "validate", "--input", "-")
+        assert time.perf_counter() - start < 0.5
+        assert (code, out) == (2, "")
+        assert "more than k(k-1)/2 = 3 edge lines" in err
+
     def test_fuzzed_inputs_answer_or_refuse(self, capsys, tmp_path):
         codes = set()
         for i, text in enumerate(fuzzed_edge_lists(random.Random(5), 150)):

@@ -27,6 +27,12 @@ from biblock.errors import (
     TooLargeError,
 )
 from biblock.graphs import relabel
+from conftest import (
+    bipartition_bfs,
+    is_complete_bipartite_by_count,
+    outcome,
+    structure_cases,
+)
 
 
 def cycle(n):
@@ -108,6 +114,43 @@ class TestBipartition:
             bp = bipartition(g)
             for u, v in g.edges:
                 assert (u in bp.M) != (v in bp.M)
+
+
+class TestBitmaskStructure:
+    """The bitmask versions against the vertex-by-vertex oracles they
+    replaced: same sides, same exception type and message."""
+
+    CASES = structure_cases(random.Random(23), 40)
+
+    def test_bipartition_matches_bfs_oracle(self):
+        kinds = set()
+        for g in self.CASES:
+            got = outcome(bipartition, g)
+            assert got == outcome(bipartition_bfs, g), g
+            kinds.add(got[0])
+        assert kinds == {"value", DisconnectedError, OddCycleError}
+
+    def test_complete_bipartite_matches_count_oracle(self):
+        answers = set()
+        for g in self.CASES:
+            got = is_complete_bipartite(g)
+            assert got == is_complete_bipartite_by_count(g), g
+            answers.add(got)
+        assert answers == {True, False}
+
+    def test_edges_match_adjacency(self):
+        for g in self.CASES:
+            pairs = range(g.k)
+            assert g.edges == {
+                (u, v) for u in pairs for v in pairs if u < v and g.has_edge(u, v)
+            }
+
+    def test_neighbors_stays_range_checked(self):
+        g = path(3)
+        assert g.neighbors(1) == (0, 2)
+        for bad in (-1, 3):
+            with pytest.raises(OutOfRangeError):
+                g.neighbors(bad)
 
 
 class TestConnectivity:
@@ -234,3 +277,21 @@ class TestEdgeListFormat:
     def test_bad_edge_line(self):
         with pytest.raises(InvalidSizeError):
             parse_edge_list("3\n0 1 2\n")
+
+    def test_lines_read_lazily(self):
+        assert parse_edge_list(iter(["3\n", "0 1\n", "1 2\n"])) == path(3)
+
+    def test_reading_stops_past_the_edge_bound(self):
+        def lines():
+            yield "3\n"
+            for _ in range(4):
+                yield "0 1\n"
+            raise AssertionError("read past edge line k(k-1)/2 + 1")
+
+        with pytest.raises(TooLargeError, match=r"k\(k-1\)/2 = 3"):
+            parse_edge_list(lines())
+
+    def test_a_vertex_admits_no_edge_line(self):
+        assert parse_edge_list("1\n") == from_edge_list(1, [])
+        with pytest.raises(TooLargeError):
+            parse_edge_list("1\n0 0\n")

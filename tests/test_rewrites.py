@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -30,6 +31,7 @@ from biblock.errors import (
     NotNeighborsError,
     NoValidPairError,
     OrientationMismatchError,
+    OutOfRangeError,
     PostconditionViolationError,
     PreconditionFailedError,
 )
@@ -41,10 +43,83 @@ from biblock.rewrites import (
     RewriteStep,
     _edit,
 )
+from conftest import edit_by_edge_list, outcome, random_biblock
 
 
 def path(n):
     return from_edge_list(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def counting_normalize(monkeypatch):
+    """A ``normalize`` that also reports the structure work it did: the
+    graphs each lowpoint DFS, 2-colouring, matching and block-cut tree
+    was built for, the ``_edit`` calls, the no-op steps it skipped, and
+    the ``is_bi_block`` calls."""
+    from biblock import blocks, graphs, independence, rewrites
+
+    work = {}
+
+    def per_graph(mod, name, key):
+        fn = getattr(mod, name)
+
+        def counted(h, *rest):
+            work[key].append(h)
+            return fn(h, *rest)
+
+        monkeypatch.setattr(mod, name, counted)
+
+    def per_call(mod, name, key, counts=lambda args, result: 1):
+        fn = getattr(mod, name)
+
+        def counted(*args):
+            result = fn(*args)
+            work[key] += counts(args, result)
+            return result
+
+        monkeypatch.setattr(mod, name, counted)
+
+    per_graph(blocks, "_biconnected_edge_components", "dfs")
+    per_graph(graphs, "bipartition", "colouring")
+    per_graph(independence, "bipartition", "colouring")
+    per_graph(independence, "_hopcroft_karp", "matching")
+    make_tree = blocks.BlockCutTree
+
+    def counted_tree(**fields):
+        tree = make_tree(**fields)
+        work["tree"].append(tree)
+        return tree
+
+    monkeypatch.setattr(blocks, "BlockCutTree", counted_tree)
+    per_call(rewrites, "_edit", "edit")
+    per_call(rewrites, "apply_step", "no_op", lambda args, out: out.result == args[0])
+    for mod in (blocks, rewrites):
+        if hasattr(mod, "is_bi_block"):
+            per_call(mod, "is_bi_block", "is_bi_block")
+
+    def run(g):
+        work.update(dfs=[], colouring=[], matching=[], tree=[], edit=0, no_op=0,
+                    is_bi_block=0)
+        _, trace = normalize(g)
+        return trace, work
+
+    return run
+
+
+def assert_structure_built_once(g, trace, work):
+    """At most one DFS, 2-colouring, matching and tree per graph seen, no
+    ``is_bi_block``, and one ``_edit`` per step tried."""
+    seen = {g} | {o.result for o in trace}
+    assert len(seen) == len(trace) + 1
+    # A tree does not name its graph; each one built must be the tree
+    # cached on one of the graphs seen.
+    owner = {id(h._blocks): h for h in seen if h._blocks is not None}
+    tree_graphs = [owner.get(id(tree)) for tree in work["tree"]]
+    for key, built in (("dfs", work["dfs"]), ("colouring", work["colouring"]),
+                       ("matching", work["matching"]), ("tree", tree_graphs)):
+        assert len(built) == len(set(built)), key
+        assert set(built) <= seen, key
+    assert work["is_bi_block"] == 0
+    assert work["edit"] == len(trace) + work["no_op"]
 
 
 def case5_tree():
@@ -382,6 +457,45 @@ class TestFindApplicable:
 
 
 class TestApplyStepEdits:
+    def test_every_proposed_step_matches_edge_list_oracle(self, biblock_by_k):
+        kinds = set()
+        for k in range(2, 9):
+            for g in biblock_by_k[k]:
+                for step in find_applicable(g, alpha_bruteforce(g).witness):
+                    assert outcome(_edit, g, step) == outcome(edit_by_edge_list, g, step)
+                    kinds.add(step.kind)
+        assert kinds == {MERGE_BLOCKS, REATTACH, SPLIT_PARTITION, REDUCE_BLOCK_INDEX}
+
+    def test_overlapping_sides_match_edge_list_oracle(self):
+        g = build_two_block(2, 2, 2, 2)
+        step = RewriteStep(
+            kind=MERGE_BLOCKS,
+            case="case 1",
+            cut_vertex=3,
+            f_far=(0, 1),
+            f_near=(2, 3),
+            h_far=(3, 4),
+            h_near=(5, 6),
+        )
+        got = outcome(_edit, g, step)
+        assert got == outcome(edit_by_edge_list, g, step)
+        assert got[0] is OrientationMismatchError
+
+    @pytest.mark.parametrize("far", [(5, 7), (-1, 5)])
+    def test_out_of_range_vertex_refused(self, far):
+        g = build_two_block(2, 2, 2, 2)
+        step = RewriteStep(
+            kind=MERGE_BLOCKS,
+            case="case 1",
+            cut_vertex=3,
+            f_far=(0, 1),
+            f_near=(2, 3),
+            h_far=far,
+            h_near=(3, 4),
+        )
+        with pytest.raises(OutOfRangeError):
+            apply_step(g, step)
+
     def test_merge_edit_shape(self):
         g = build_two_block(2, 2, 2, 2)
         step = RewriteStep(
@@ -468,34 +582,23 @@ class TestNormalize:
         assert all(b >= a - 1e-10 for a, b in zip(rhos, rhos[1:]))
 
     def test_case5_tree_builds_each_quantity_once(self, monkeypatch):
-        from biblock import blocks, independence
-
-        trees, matchings = [], []
-        make_tree = blocks.BlockCutTree
-        match = independence._hopcroft_karp
-
-        def counted_tree(**fields):
-            tree = make_tree(**fields)
-            trees.append(tree)
-            return tree
-
-        def counted_match(g, left):
-            matchings.append(g)
-            return match(g, left)
-
-        monkeypatch.setattr(blocks, "BlockCutTree", counted_tree)
-        monkeypatch.setattr(independence, "_hopcroft_karp", counted_match)
+        run = counting_normalize(monkeypatch)
         g = case5_tree()
-        _, trace = normalize(g)
-        seen = {g} | {o.result for o in trace}
-        assert len(trace) == 4 and len(seen) == 5
-        # A tree does not name its graph; each one built must be the
-        # tree cached on one of the graphs seen.
-        owner = {id(h._blocks): h for h in seen if h._blocks is not None}
-        tree_graphs = [owner.get(id(tree)) for tree in trees]
-        for built in (tree_graphs, matchings):
-            assert len(built) == len(set(built))
-            assert set(built) <= seen
+        trace, work = run(g)
+        assert len(trace) == 4
+        assert_structure_built_once(g, trace, work)
+        assert work["no_op"] > 0
+
+    def test_random_biblocks_build_each_quantity_once(self, monkeypatch):
+        run = counting_normalize(monkeypatch)
+        rng = random.Random(12)
+        steps = 0
+        for _ in range(20):
+            g = random_biblock(rng, rng.randint(12, 20))
+            trace, work = run(g)
+            assert_structure_built_once(g, trace, work)
+            steps += len(trace)
+        assert steps > 20
 
     def test_sweep_small(self, biblock_by_k):
         for k in range(2, 8):
