@@ -175,10 +175,10 @@ def is_bi_block(g: Graph) -> bool:
     Reads the same blocks as ``decompose`` but builds and caches no
     block-cut tree.  Enumeration asserts ``is_bi_block`` on every graph
     it returns and never reads a tree afterwards, and cached trees for
-    all of B(10) would hold about 4.9 MB, about an eighth of
-    ``verify-theorem``'s peak memory.  The rewrite system checks
-    bi-block-ness through ``decompose`` instead, because the next
-    ``find_applicable`` reads the cached tree of every graph it checks.
+    all of B(10) would hold about 5.0 MB, seven times the sweep's cached
+    alphas and Perron pairs.  The rewrite system checks bi-block-ness
+    through ``decompose`` instead, because the next ``find_applicable``
+    reads the cached tree of every graph it checks.
     """
     return is_connected(g) and all(blk.parts is not None for blk in _blocks(g))
 

@@ -30,21 +30,16 @@ class Graph:
     Instances are immutable and hashable; bit v of ``adj[u]`` is set iff
     uv is an edge.  Construct through :func:`from_edge_list` or the
     shape-specific builders rather than calling this directly.  The
-    objects derived from a graph (edge set, canonical form, dense matrix,
-    Perron pair, block-cut tree, alpha) are cached in private slots by
-    the functions that compute them, each set once and only on success.
+    Perron pair, block-cut tree and alpha are cached in private slots by
+    the functions that compute them, each set once and only on success;
+    the edge set, canonical form and dense matrix are built per call.
     """
 
-    __slots__ = (
-        "k", "adj", "_edges", "_canon", "_dense", "_perron", "_blocks", "_alpha"
-    )
+    __slots__ = ("k", "adj", "_perron", "_blocks", "_alpha")
 
     def __init__(self, k: int, adj: tuple[int, ...]):
         self.k = k
         self.adj = adj
-        self._edges = None
-        self._canon = None
-        self._dense = None
         self._perron = None
         self._blocks = None
         self._alpha = None
@@ -52,13 +47,9 @@ class Graph:
     @property
     def edges(self) -> frozenset[tuple[int, int]]:
         """Edge set as sorted pairs (u, v) with u < v."""
-        if self._edges is None:
-            self._edges = frozenset(
-                (u, v)
-                for u in range(self.k)
-                for v in _bits(self.adj[u] >> (u + 1) << (u + 1))
-            )
-        return self._edges
+        return frozenset(
+            (u, v) for u in range(self.k) for v in _bits(self.adj[u] & -(2 << u))
+        )
 
     @property
     def edge_count(self) -> int:
@@ -113,6 +104,18 @@ def _bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _edge_diff(g: Graph, h: Graph):
+    """Sorted tuples of the edges h adds to g and removes from it, read
+    off the bits v > u of each row u that differs; same k assumed."""
+    added, removed = [], []
+    for u, (old, new) in enumerate(zip(g.adj, h.adj)):
+        if old != new:
+            above = -(2 << u)
+            added.extend((u, v) for v in _bits(new & ~old & above))
+            removed.extend((u, v) for v in _bits(old & ~new & above))
+    return tuple(added), tuple(removed)
 
 
 def _mask(vertices) -> int:
@@ -458,11 +461,8 @@ def canonical_form(g: Graph) -> CanonicalForm:
     """
     if g.k > CANONICAL_CAP:
         raise TooLargeError(f"canonical forms capped at k <= {CANONICAL_CAP}, got {g.k}")
-    if g._canon is None:
-        rows = _canonical_rows(g)
-        data = bytes([g.k]) + b"".join(r.to_bytes(3, "big") for r in rows)
-        g._canon = CanonicalForm(data)
-    return g._canon
+    rows = _canonical_rows(g)
+    return CanonicalForm(bytes([g.k]) + b"".join(r.to_bytes(3, "big") for r in rows))
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:

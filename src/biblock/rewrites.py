@@ -32,7 +32,7 @@ from .errors import (
     PreconditionFailedError,
     StuckError,
 )
-from .graphs import Graph, _mask, is_complete_bipartite, is_connected
+from .graphs import Graph, _edge_diff, _mask, is_complete_bipartite, is_connected
 from .independence import alpha_bruteforce, alpha_matching, _is_independent
 from .spectral import RHO_MARGIN, perron
 
@@ -223,8 +223,7 @@ def apply_step(g: Graph, step: RewriteStep) -> RewriteOutcome:
         raise PostconditionViolationError(
             f"{step.case}: rho decreased {rho_before} -> {rho_after}"
         )
-    added = tuple(sorted(result.edges - g.edges))
-    removed = tuple(sorted(g.edges - result.edges))
+    added, removed = _edge_diff(g, result)
     trace = (
         f"{step.case}: {step.kind} at v={step.cut_vertex}, "
         f"+{len(added)}/-{len(removed)} edges, "

@@ -29,7 +29,7 @@ from .errors import (
     SizeMismatchError,
     ZeroVectorError,
 )
-from .graphs import Graph, add_edge, from_edge_list, is_connected
+from .graphs import Graph, _edge_diff, add_edge, from_edge_list, is_connected
 
 DEFAULT_TOL = 1e-12
 CLASS_TOL = 1e-9
@@ -46,29 +46,26 @@ class PerronPair:
 
 
 def dense_adjacency(g: Graph) -> np.ndarray:
-    """Dense 0/1 adjacency matrix, cached on the graph."""
-    if g._dense is None:
-        a = np.zeros((g.k, g.k))
-        for u, v in g.edges:
-            a[u, v] = 1.0
-            a[v, u] = 1.0
-        a.setflags(write=False)
-        g._dense = a
-    return g._dense
+    """Dense 0/1 adjacency matrix, unpacked afresh from the bit rows."""
+    width = (g.k + 7) // 8
+    rows = np.frombuffer(
+        b"".join(m.to_bytes(width, "little") for m in g.adj), dtype=np.uint8
+    ).reshape(g.k, width)
+    return np.unpackbits(rows, axis=1, count=g.k, bitorder="little").astype(float)
 
 
 def perron(g: Graph) -> PerronPair:
     """Dominant eigenpair of the adjacency matrix of a connected graph.
 
-    One ``numpy.linalg.eigh`` call on the cached dense adjacency gives
+    One ``numpy.linalg.eigh`` call on the dense adjacency gives
     the top eigenvector; its absolute value, floored at
     ``np.finfo(float).tiny``, is X and its Rayleigh quotient is rho.
     ``NoConvergenceError`` is raised unless every entry of X is positive
     and ``max|(A + I)X - (rho + 1)X| <= DEFAULT_TOL * (rho + 1)``.  The
     +1 shift leaves the residual vector as it is; it keeps the bound
     relative to rho + 1, the tolerance the rest of this module and its
-    tests are stated against.  The pair is cached on the graph, so each
-    graph is solved once.
+    tests are stated against.  The pair, not the matrix, is cached on
+    the graph, so each graph is solved once and keeps no k x k array.
     """
     if g._perron is not None:
         return g._perron
@@ -114,14 +111,13 @@ def degree_bounds(g: Graph) -> tuple[int, float, int]:
 
 
 def quad_form_delta(g: Graph, g_star: Graph, x) -> float:
-    """(1/2) X^t (A* - A) X, computed edge-wise over the two edge sets."""
+    """(1/2) X^t (A* - A) X, summed over the edges the two graphs differ in."""
     if g.k != g_star.k:
         raise SizeMismatchError(f"vertex counts differ: {g.k} vs {g_star.k}")
     x = np.asarray(x, dtype=float)
     if x.shape != (g.k,):
         raise SizeMismatchError(f"vector length {x.shape} vs k={g.k}")
-    added = g_star.edges - g.edges
-    removed = g.edges - g_star.edges
+    added, removed = _edge_diff(g, g_star)
     return float(
         sum(x[u] * x[v] for u, v in added) - sum(x[u] * x[v] for u, v in removed)
     )

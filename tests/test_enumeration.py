@@ -1,4 +1,6 @@
+import gc
 import math
+import tracemalloc
 
 import pytest
 
@@ -15,11 +17,12 @@ from biblock import (
     is_bi_block,
     is_connected,
     is_isomorphic,
+    perron,
     verify_theorem,
 )
 from biblock.errors import EmptyClassError, InvalidSizeError, TooLargeError
 from biblock.graphs import is_bipartite
-from conftest import enumerate_by_attachment
+from conftest import enumerate_by_attachment, outcome
 
 # Counts frozen from the dual-path cross-validation and regression runs;
 # 10..12 from the block-attachment route with canonical-form dedup.
@@ -101,6 +104,27 @@ class TestEnumerateClass:
     def test_below_lower_bound_is_empty(self):
         assert enumerate_class(ClassSpec(5, 2)) == []
 
+    def test_alpha_out_of_bounds_is_empty_before_generating(self, monkeypatch):
+        from biblock import enumeration
+
+        def refuse(k):
+            raise AssertionError(f"generated B({k}) for an empty class")
+
+        monkeypatch.setattr(enumeration, "_generate", refuse)
+        for k in (2, 7, 13):
+            lo, hi = alpha_bounds(k)
+            for alpha in (-1, 0, lo - 1, hi + 1, k + 1):
+                assert enumerate_class(ClassSpec(k, alpha)) == []
+            with pytest.raises(EmptyClassError, match=rf"^B\({k}, {k}\) is empty$"):
+                extremal_verify(ClassSpec(k, k))
+
+    @pytest.mark.parametrize("k", [-1, 1, 14])
+    def test_size_checks_come_before_the_alpha_bounds(self, k):
+        expected = outcome(enumerate_biblock, k)
+        assert expected[0] in (InvalidSizeError, TooLargeError)
+        for alpha in (-1, 0, 1, k + 1):
+            assert outcome(enumerate_class, ClassSpec(k, alpha)) == expected
+
     def test_b54_is_exactly_the_star(self):
         members = enumerate_class(ClassSpec(5, 4))
         assert len(members) == 1
@@ -147,3 +171,20 @@ def test_verify_theorem_all_alphas():
     reports = verify_theorem(6)
     assert [r.alpha for r in reports] == [3, 4, 5]
     assert all(r.is_unique or r.class_size == 1 for r in reports)
+
+
+def test_sweep_keeps_little_per_graph():
+    """What alpha and the Perron pair leave cached on each graph of B(10):
+    no edge set, dense matrix or canonical form stays alive with it."""
+    graphs = enumerate_biblock(10)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for g in graphs:
+            alpha_matching(g)
+            perron(g)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained / len(graphs) < 1536

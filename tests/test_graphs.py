@@ -26,7 +26,7 @@ from biblock.errors import (
     SelfLoopError,
     TooLargeError,
 )
-from biblock.graphs import relabel
+from biblock.graphs import _edge_diff, relabel
 from conftest import (
     bipartition_bfs,
     is_complete_bipartite_by_count,
@@ -144,6 +144,21 @@ class TestBitmaskStructure:
             assert g.edges == {
                 (u, v) for u in pairs for v in pairs if u < v and g.has_edge(u, v)
             }
+
+    def test_edge_diff_matches_edge_set_difference(self):
+        by_k = {}
+        for g in self.CASES:
+            by_k.setdefault(g.k, []).append(g)
+        pairs = 0
+        for same_k in by_k.values():
+            for g in same_k:
+                for h in same_k:
+                    assert _edge_diff(g, h) == (
+                        tuple(sorted(h.edges - g.edges)),
+                        tuple(sorted(g.edges - h.edges)),
+                    )
+                    pairs += g != h
+        assert pairs > 0
 
     def test_neighbors_stays_range_checked(self):
         g = path(3)

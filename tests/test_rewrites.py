@@ -459,12 +459,21 @@ class TestFindApplicable:
 class TestApplyStepEdits:
     def test_every_proposed_step_matches_edge_list_oracle(self, biblock_by_k):
         kinds = set()
+        applied = 0
         for k in range(2, 9):
             for g in biblock_by_k[k]:
                 for step in find_applicable(g, alpha_bruteforce(g).witness):
                     assert outcome(_edit, g, step) == outcome(edit_by_edge_list, g, step)
                     kinds.add(step.kind)
+                    tag, out = outcome(apply_step, g, step)
+                    if tag != "value":
+                        continue
+                    # Sorted order matters: the JSON trace prints these lists.
+                    assert out.edges_added == tuple(sorted(out.result.edges - g.edges))
+                    assert out.edges_removed == tuple(sorted(g.edges - out.result.edges))
+                    applied += bool(out.edges_added and out.edges_removed)
         assert kinds == {MERGE_BLOCKS, REATTACH, SPLIT_PARTITION, REDUCE_BLOCK_INDEX}
+        assert applied > 0
 
     def test_overlapping_sides_match_edge_list_oracle(self):
         g = build_two_block(2, 2, 2, 2)

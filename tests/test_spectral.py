@@ -369,6 +369,19 @@ class TestDegreeBounds:
         assert abs(rho - 2) < 1e-9
 
 
+class TestDenseAdjacency:
+    @pytest.mark.parametrize("k", [1, 2, 7, 8, 9, 17, 40])
+    def test_matches_has_edge(self, k):
+        rng = random.Random(k)
+        g = from_edge_list(k, [
+            (u, v) for u in range(k) for v in range(u + 1, k) if rng.random() < 0.3
+        ])
+        a = dense_adjacency(g)
+        assert a.dtype == np.float64 and a.shape == (k, k)
+        expected = [[float(g.has_edge(u, v)) for v in range(k)] for u in range(k)]
+        assert a.tolist() == expected
+
+
 class TestQuadFormDelta:
     def test_identity_graph_zero(self):
         g = build_two_block(2, 2, 2, 2)
@@ -385,6 +398,21 @@ class TestQuadFormDelta:
     def test_size_mismatch(self):
         with pytest.raises(SizeMismatchError):
             quad_form_delta(path(3), path(4), [1.0, 1.0, 1.0])
+
+    def test_matches_dense_quadratic_form(self):
+        rng = random.Random(31)
+        for _ in range(30):
+            k = rng.randint(2, 12)
+            g, h = (
+                from_edge_list(k, [
+                    (u, v) for u in range(k) for v in range(u + 1, k)
+                    if rng.random() < 0.4
+                ])
+                for _ in range(2)
+            )
+            x = np.array([rng.uniform(0.1, 1.0) for _ in range(k)])
+            dense = 0.5 * x @ (dense_adjacency(h) - dense_adjacency(g)) @ x
+            assert abs(quad_form_delta(g, h, x) - dense) < 1e-12
 
     def test_subcase32_closed_form_single_instance(self):
         self._check_closed_form(1, 4, 1, 3)
