@@ -36,7 +36,6 @@ from .graphs import (
     is_isomorphic,
     parse_edge_list,
     read_edge_list,
-    write_edge_list,
 )
 from .independence import (
     AlphaResult,

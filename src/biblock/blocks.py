@@ -33,10 +33,10 @@ class Block:
 
     ``parts`` is None when the induced subgraph is not complete
     bipartite; otherwise the side containing the smallest vertex label
-    comes first.  Besides the standard blocks of a block-cut tree, the
-    coalesced stars of ``rewrites.unit_decomposition`` are Blocks too:
-    complete bipartite pieces whose vertices span several pendant-edge
-    blocks.
+    comes first.  A Block is one piece of a ``BlockCutTree``: a standard
+    block from ``decompose``, or a unit from
+    ``rewrites.unit_decomposition``, where a coalesced star is one
+    complete bipartite piece spanning several pendant-edge blocks.
     """
 
     vertices: frozenset[int]
@@ -62,10 +62,13 @@ class Block:
 
 @dataclass(frozen=True)
 class BlockCutTree:
-    """Blocks, cut vertices, and their incidence for one connected graph.
+    """Pieces, cut vertices, and their incidence for one connected graph.
 
-    Holds no reference to its graph, which caches it, so the pair is
-    freed without the cycle collector; ``len(incidence)`` is k.
+    The pieces are either the standard blocks (``decompose``) or the
+    star-coalesced units (``rewrites.unit_decomposition``); a cut vertex
+    lies in two or more pieces, and ``len(incidence)`` is k.  Holds no
+    reference to its graph, which caches the standard tree, so the pair
+    is freed without the cycle collector.
     """
 
     blocks: tuple[Block, ...]
@@ -145,27 +148,33 @@ def _blocks(g: Graph):
         yield Block(vs, parts)
 
 
-def decompose(g: Graph) -> BlockCutTree:
-    """Block-cut tree of a connected graph, cached on the graph.
+def _tree(pieces, k: int) -> BlockCutTree:
+    """BlockCutTree over pieces that partition the edges of a connected
+    graph on k vertices: its standard blocks or its star-coalesced units.
 
-    Blocks are sorted by their vertex sets so ids are reproducible; cut
-    vertices are exactly the vertices lying in two or more blocks.
+    Pieces are sorted by their vertex sets so ids are reproducible; cut
+    vertices are exactly the vertices lying in two or more pieces.
     """
+    pieces = sorted(pieces, key=lambda b: tuple(sorted(b.vertices)))
+    incidence: dict[int, list[int]] = {v: [] for v in range(k)}
+    for bid, blk in enumerate(pieces):
+        for v in blk.vertices:
+            incidence[v].append(bid)
+    return BlockCutTree(
+        blocks=tuple(pieces),
+        cut_vertices=frozenset(v for v, ids in incidence.items() if len(ids) >= 2),
+        incidence={v: tuple(ids) for v, ids in incidence.items()},
+    )
+
+
+def decompose(g: Graph) -> BlockCutTree:
+    """Block-cut tree of the standard blocks of a connected graph, cached
+    on the graph."""
     if g._blocks is not None:
         return g._blocks
     if not is_connected(g):
         raise DisconnectedError("decompose requires a connected graph")
-    blocks = sorted(_blocks(g), key=lambda b: tuple(sorted(b.vertices)))
-    incidence: dict[int, list[int]] = {v: [] for v in range(g.k)}
-    for bid, blk in enumerate(blocks):
-        for v in blk.vertices:
-            incidence[v].append(bid)
-    cut = frozenset(v for v, ids in incidence.items() if len(ids) >= 2)
-    g._blocks = BlockCutTree(
-        blocks=tuple(blocks),
-        cut_vertices=cut,
-        incidence={v: tuple(ids) for v, ids in incidence.items()},
-    )
+    g._blocks = _tree(_blocks(g), g.k)
     return g._blocks
 
 
@@ -202,6 +211,19 @@ def leaf_blocks(t: BlockCutTree) -> list[int]:
         if len(blk.vertices & t.cut_vertices) <= 1:
             out.append(bid)
     return out
+
+
+def leaf_neighbor(t: BlockCutTree, h_id: int) -> tuple[int, int] | None:
+    """(f_id, v) when piece h_id holds exactly one cut vertex v and v lies
+    in h_id and f_id only, else None."""
+    cuts = t.blocks[h_id].vertices & t.cut_vertices
+    if len(cuts) != 1:
+        return None
+    (v,) = cuts
+    if len(t.incidence[v]) != 2:
+        return None
+    (f_id,) = (i for i in t.incidence[v] if i != h_id)
+    return f_id, v
 
 
 def shared_cut_vertex(t: BlockCutTree, f_id: int, h_id: int) -> int:

@@ -536,8 +536,3 @@ def format_edge_list(g: Graph) -> str:
 def read_edge_list(path: str) -> Graph:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_edge_list(fh)
-
-
-def write_edge_list(g: Graph, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_edge_list(g))

@@ -91,20 +91,41 @@ def _hopcroft_karp(g: Graph, left: list[int]) -> dict[int, int]:
                     q.append(mate)
         return found
 
-    def dfs(u: int) -> bool:
-        for w in _bits(g.adj[u]):
-            mate = match_r.get(w)
-            if mate is None or (dist[mate] == dist[u] + 1 and dfs(mate)):
-                match_l[u] = w
-                match_r[w] = u
-                return True
-        dist[u] = inf
-        return False
+    def augment(root: int) -> None:
+        """Depth-first search, neighbors in ascending order, for an
+        augmenting path from root along the BFS layers; flips the path
+        when found.
+
+        An explicit stack of (vertex, neighbor iterator) frames, with the
+        neighbor each frame below the top went through, keeps a path
+        through all k vertices off the interpreter's recursion limit.
+        """
+        frames = [(root, _bits(g.adj[root]))]
+        via: list[int] = []
+        while frames:
+            u, nbrs = frames[-1]
+            for w in nbrs:
+                mate = match_r.get(w)
+                if mate is None:
+                    via.append(w)
+                    for (x, _), y in zip(reversed(frames), reversed(via)):
+                        match_l[x] = y
+                        match_r[y] = x
+                    return
+                if dist[mate] == dist[u] + 1:
+                    via.append(w)
+                    frames.append((mate, _bits(g.adj[mate])))
+                    break
+            else:
+                dist[u] = inf
+                frames.pop()
+                if via:
+                    via.pop()
 
     while bfs():
         for u in left:
             if u not in match_l:
-                dfs(u)
+                augment(u)
     return match_l
 
 

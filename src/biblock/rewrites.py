@@ -7,10 +7,11 @@ own postconditions (vertex count, independence number, non-decreasing
 spectral radius) and refuses loudly on violation.
 
 The normalization driver works on a "unit" view of the block structure:
-standard blocks, with pendant-edge blocks around a common center
-coalesced into one star unit.  Star coalescing changes bookkeeping only,
-never the graph, but without it the index-reduction move degenerates to
-a no-op at star centers and normalization cannot progress.
+a ``BlockCutTree`` whose pieces are the standard blocks, with
+pendant-edge blocks around a common center coalesced into one star unit.
+Star coalescing changes bookkeeping only, never the graph, but without
+it the index-reduction move degenerates to a no-op at star centers and
+normalization cannot progress.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .blocks import Block, BlockCutTree, decompose
+from .blocks import Block, BlockCutTree, _tree, decompose, leaf_blocks, leaf_neighbor
 from .errors import (
     BadSplitError,
     BlockIndexTooSmallError,
@@ -93,12 +94,12 @@ class RewriteOutcome:
 # ---------------------------------------------------------------------------
 
 
-def unit_decomposition(g: Graph) -> list[Block]:
-    """Blocks of g with stars around a common center coalesced.
+def unit_decomposition(g: Graph) -> BlockCutTree:
+    """The tree of g's blocks with stars around a common center coalesced.
 
     Processes centers in ascending label order: at each vertex, all
     units whose side there is the bare singleton merge into one star.
-    The result partitions the edge set into complete bipartite units,
+    The units partition the edge set into complete bipartite pieces,
     each a Block whose side with the smallest label comes first.
     """
     units = list(decompose(g).blocks)
@@ -114,16 +115,7 @@ def unit_decomposition(g: Graph) -> list[Block]:
             units = [u for u in units if u not in stars]
             parts = (merged_far, vbit) if min(merged_far) < v else (vbit, merged_far)
             units.append(Block(merged_far | vbit, parts))
-    units.sort(key=lambda u: tuple(sorted(u.vertices)))
-    return units
-
-
-def _unit_incidence(units: list[Block], k: int) -> dict[int, list[int]]:
-    inc: dict[int, list[int]] = {v: [] for v in range(k)}
-    for idx, u in enumerate(units):
-        for v in u.vertices:
-            inc[v].append(idx)
-    return inc
+    return _tree(units, g.k)
 
 
 # ---------------------------------------------------------------------------
@@ -292,12 +284,12 @@ def _block_unit(t: BlockCutTree, bid: int) -> Block:
     return t.blocks[bid]
 
 
-def _unit_of_block(units: list[Block], blk: Block) -> Block:
+def _unit_of_block(u: BlockCutTree, blk: Block) -> Block:
     """The unit holding a complete bipartite block's edges (the block
     itself, or its star), found through the edge joining the two sides'
     smallest labels."""
     a, b = min(blk.parts[0]), min(blk.parts[1])
-    for unit in units:
+    for unit in u.blocks:
         if a in unit.vertices and b in unit.other_side(a):
             return unit
     raise NotBiBlockError(f"block on {sorted(blk.vertices)} not covered by any unit")
@@ -318,16 +310,12 @@ def _resolve_pair(
     shared = f_raw.vertices & h_raw.vertices
     raw_ok = f_id != h_id and len(shared) == 1
     if raw_ok and leaf_pair:
-        (v,) = shared
-        raw_ok = (
-            t.blocks[h_id].vertices & t.cut_vertices == {v}
-            and len(t.incidence[v]) == 2
-        )
+        raw_ok = leaf_neighbor(t, h_id) == (f_id, next(iter(shared)))
     if raw_ok:
         return f_raw, h_raw, next(iter(shared))
-    units = unit_decomposition(g)
-    fu = _unit_of_block(units, f_raw)
-    hu = _unit_of_block(units, h_raw)
+    u = unit_decomposition(g)
+    fu = _unit_of_block(u, f_raw)
+    hu = _unit_of_block(u, h_raw)
     if fu == hu:
         raise NotNeighborsError(
             f"blocks {f_id} and {h_id} lie in the same coalesced star"
@@ -339,14 +327,13 @@ def _resolve_pair(
         )
     (v,) = shared
     if leaf_pair:
-        inc = _unit_incidence(units, g.k)
-        if _unit_cut_vertices(hu, inc) != [v]:
+        if hu.vertices & u.cut_vertices != {v}:
             raise PreconditionFailedError(
                 f"block {h_id}'s unit is not a leaf at vertex {v}"
             )
-        if len(inc[v]) != 2:
+        if len(u.incidence[v]) != 2:
             raise PreconditionFailedError(
-                f"vertex {v} lies in {len(inc[v])} units, need 2"
+                f"vertex {v} lies in {len(u.incidence[v])} units, need 2"
             )
     return fu, hu, v
 
@@ -461,40 +448,18 @@ def reduce_block_index(g: Graph, v: int, bi_id: int, bj_id: int) -> RewriteOutco
 # ---------------------------------------------------------------------------
 
 
-def _unit_cut_vertices(u: Block, inc: dict[int, list[int]]) -> list[int]:
-    return [v for v in u.vertices if len(inc[v]) >= 2]
-
-
-def _leaf_units(units: list[Block], inc: dict[int, list[int]]) -> list[int]:
-    return [
-        idx for idx, u in enumerate(units) if len(_unit_cut_vertices(u, inc)) <= 1
-    ]
-
-
-def _leaf_neighbor(
-    units: list[Block], inc: dict[int, list[int]], h_idx: int
-) -> tuple[int, int] | None:
-    """(F, v) when the unit H is a leaf whose one cut vertex v lies in H
-    and F only, else None."""
-    cuts = _unit_cut_vertices(units[h_idx], inc)
-    if len(cuts) != 1 or len(inc[cuts[0]]) != 2:
-        return None
-    (f_idx,) = (i for i in inc[cuts[0]] if i != h_idx)
-    return f_idx, cuts[0]
-
-
 def _swapped_reattach(
-    units: list[Block], inc: dict[int, list[int]], h_idx: int, witness: frozenset[int]
+    u: BlockCutTree, h_idx: int, witness: frozenset[int]
 ) -> RewriteStep | None:
     """Case 5 (the witness meets P but not Q, and m >= n + 2) when its
     chain search finds no move: the reattachment with H and F swapped,
     giving K(P + M - v, Q + N).  The witness holds M - v and misses Q and
     N, so it stays independent."""
-    found = _leaf_neighbor(units, inc, h_idx)
+    found = leaf_neighbor(u, h_idx)
     if found is None:
         return None
     f_idx, v = found
-    h, f = units[h_idx], units[f_idx]
+    h, f = u.blocks[h_idx], u.blocks[f_idx]
     if witness & f.other_side(v) and not witness & f.side_of(v):
         if len(h.side_of(v)) >= len(h.other_side(v)) + 2:
             return _directional_step(REATTACH, h, f, v, "case 5 reattach")
@@ -502,18 +467,14 @@ def _swapped_reattach(
 
 
 def _leaf_case_step(
-    g: Graph,
-    units: list[Block],
-    inc: dict[int, list[int]],
-    h_idx: int,
-    witness: frozenset[int],
+    g: Graph, u: BlockCutTree, h_idx: int, witness: frozenset[int]
 ) -> RewriteStep | None:
     """Which move the case analysis prescribes at one leaf unit, if any."""
-    found = _leaf_neighbor(units, inc, h_idx)
+    found = leaf_neighbor(u, h_idx)
     if found is None:
         return None
     f_idx, v = found
-    h, f = units[h_idx], units[f_idx]
+    h, f = u.blocks[h_idx], u.blocks[f_idx]
     far_f, near_f = f.other_side(v), f.side_of(v)
     near_h, far_h = h.side_of(v), h.other_side(v)
     p, q = len(far_f), len(near_f)
@@ -526,19 +487,19 @@ def _leaf_case_step(
     if in_q:
         if m >= n:
             return _merge_step(f, h, v, "case 2")
-        if len(units) == 2:
+        if len(u.blocks) == 2:
             if p == q - 1:
                 return _merge_step(f, h, v, "two-block subcase 3.1")
             return _directional_step(REATTACH, f, h, v, "two-block subcase 3.2")
-        non_cut = [c for c in sorted(near_f - {v}) if len(inc[c]) == 1]
+        non_cut = [c for c in sorted(near_f - {v}) if c not in u.cut_vertices]
         if not non_cut:
             # Every vertex of Q is a cut vertex: merge F with the block
             # behind a witness vertex of Q instead.
-            u = min(witness & near_f)
-            if len(inc[u]) != 2:
+            w = min(witness & near_f)
+            if len(u.incidence[w]) != 2:
                 return None
-            (b_idx,) = (i for i in inc[u] if i != f_idx)
-            return _merge_step(f, units[b_idx], u, "case 3 subcase 1")
+            (b_idx,) = (i for i in u.incidence[w] if i != f_idx)
+            return _merge_step(f, u.blocks[b_idx], w, "case 3 subcase 1")
         c = non_cut[0]
         x = perron(g).X
         b_n = float(x[min(far_h)])
@@ -556,54 +517,50 @@ def _leaf_case_step(
     # in_p and not in_q
     if n >= m or m == n + 1:
         return _merge_step(f, h, v, "case 4")
-    return _case5_resolve(g, units, inc, f_idx, v, witness)
+    return _case5_resolve(g, u, f_idx, v, witness)
 
 
 def _case5_resolve(
-    g: Graph,
-    units: list[Block],
-    inc: dict[int, list[int]],
-    f_idx: int,
-    v: int,
-    witness: frozenset[int],
+    g: Graph, u: BlockCutTree, f_idx: int, v: int, witness: frozenset[int]
 ) -> RewriteStep | None:
     """Chain search of case 5: walk away from the leaf through witness-
     occupied far sides until a mergeable neighbor or a far leaf."""
-    f = units[f_idx]
     visited = {f_idx}
 
     def walk(cur_idx: int, far_side: frozenset[int]) -> RewriteStep | None:
-        cur = units[cur_idx]
+        cur = u.blocks[cur_idx]
         for w in sorted(far_side):
-            if len(inc[w]) != 2:
+            if len(u.incidence[w]) != 2:
                 continue
-            for d_idx in inc[w]:
+            for d_idx in u.incidence[w]:
                 if d_idx == cur_idx or d_idx in visited:
                     continue
                 visited.add(d_idx)
-                d = units[d_idx]
+                d = u.blocks[d_idx]
                 r_side = d.other_side(w)
                 if not witness & r_side:
                     return _merge_step(cur, d, w, "case 5 merge")
-                d_cuts = _unit_cut_vertices(d, inc)
-                if d_cuts == [w]:
-                    return _leaf_case_step(g, units, inc, d_idx, witness)
+                if d.vertices & u.cut_vertices == {w}:
+                    return _leaf_case_step(g, u, d_idx, witness)
                 found = walk(d_idx, r_side)
                 if found is not None:
                     return found
         return None
 
-    return walk(f_idx, f.other_side(v))
+    return walk(f_idx, u.blocks[f_idx].other_side(v))
 
 
-def _index_reductions(pieces: list[Block], v: int, witness: frozenset[int]):
-    """Index reductions at v for each pigeonhole-valid pair of the pieces
-    there: units, or standard blocks."""
-    for f, h in combinations(pieces, 2):
-        if _reduce_pair_valid(witness, f, h, v):
-            yield _merge_step(
-                f, h, v, "block-index reduction", kind=REDUCE_BLOCK_INDEX
-            )
+def _index_reductions(t: BlockCutTree, witness: frozenset[int]):
+    """Index reductions for each pigeonhole-valid pair of the pieces at
+    each vertex lying in three or more of them."""
+    for v in sorted(t.cut_vertices):
+        ids = t.incidence[v]
+        if len(ids) >= 3:
+            for f, h in combinations([t.blocks[i] for i in ids], 2):
+                if _reduce_pair_valid(witness, f, h, v):
+                    yield _merge_step(
+                        f, h, v, "block-index reduction", kind=REDUCE_BLOCK_INDEX
+                    )
 
 
 def find_applicable(g: Graph, witness) -> list[RewriteStep]:
@@ -621,8 +578,7 @@ def find_applicable(g: Graph, witness) -> list[RewriteStep]:
         raise NotMaximumError("witness is not a maximum independent set")
     if is_complete_bipartite(g):
         return []
-    units = unit_decomposition(g)
-    inc = _unit_incidence(units, g.k)
+    u = unit_decomposition(g)
 
     steps: dict = {}
 
@@ -630,23 +586,17 @@ def find_applicable(g: Graph, witness) -> list[RewriteStep]:
         if step is not None and step.key() not in steps:
             steps[step.key()] = step
 
-    for v in range(g.k):
-        if len(inc[v]) >= 3:
-            for step in _index_reductions([units[i] for i in inc[v]], v, witness):
-                put(step)
-    leaves = _leaf_units(units, inc)
-    leaf_steps = [_leaf_case_step(g, units, inc, h_idx, witness) for h_idx in leaves]
+    for step in _index_reductions(u, witness):
+        put(step)
+    leaves = leaf_blocks(u)
+    leaf_steps = [_leaf_case_step(g, u, h_idx, witness) for h_idx in leaves]
     for step in leaf_steps:
         put(step)
-    for v in sorted(t.cut_vertices):
-        ids = t.incidence[v]
-        if len(ids) >= 3:
-            blocks = [_block_unit(t, i) for i in ids]
-            for step in _index_reductions(blocks, v, witness):
-                put(step)
+    for step in _index_reductions(t, witness):
+        put(step)
     if all(step is None for step in leaf_steps):
         for h_idx in leaves:
-            put(_swapped_reattach(units, inc, h_idx, witness))
+            put(_swapped_reattach(u, h_idx, witness))
     return list(steps.values())
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import BlockCutTree, decompose
+from .blocks import BlockCutTree, decompose, leaf_neighbor
 from .errors import (
     BiblockError,
     DisconnectedError,
@@ -365,13 +365,10 @@ def find_leaf_configs(g: Graph) -> list[LeafConfig]:
     t = decompose(g)
     configs = []
     for h_id, blk in enumerate(t.blocks):
-        cut_in = blk.vertices & t.cut_vertices
-        if len(cut_in) != 1 or not blk.is_complete_bipartite:
+        found = leaf_neighbor(t, h_id)
+        if found is None or not blk.is_complete_bipartite:
             continue
-        (v,) = cut_in
-        if len(t.incidence[v]) != 2:
-            continue
-        (f_id,) = (b for b in t.incidence[v] if b != h_id)
+        f_id, v = found
         fblk = t.blocks[f_id]
         if not fblk.is_complete_bipartite:
             continue
@@ -403,13 +400,13 @@ def leaf_eigen_data(g: Graph, config: LeafConfig) -> LeafEigenData:
 
 
 def _validate_leaf_config(t: BlockCutTree, config: LeafConfig) -> None:
-    if config.h_id >= len(t.blocks) or config.f_id >= len(t.blocks):
+    if not (0 <= config.h_id < len(t.blocks) and 0 <= config.f_id < len(t.blocks)):
         raise NoSuchConfigurationError("block id out of range")
     hblk = t.blocks[config.h_id]
     fblk = t.blocks[config.f_id]
     if hblk.vertices & t.cut_vertices != {config.v}:
         raise NoSuchConfigurationError("H is not a leaf block at v")
-    if t.incidence[config.v] not in ((config.h_id, config.f_id), (config.f_id, config.h_id)):
+    if leaf_neighbor(t, config.h_id) != (config.f_id, config.v):
         raise NoSuchConfigurationError("v must lie in exactly the blocks H and F")
     if not (hblk.is_complete_bipartite and fblk.is_complete_bipartite):
         raise NoSuchConfigurationError("blocks must be complete bipartite")

@@ -12,8 +12,9 @@ from biblock import (
     leaf_blocks,
     neighbor_union,
     peel_leaf_block,
+    unit_decomposition,
 )
-from biblock.blocks import to_report
+from biblock.blocks import leaf_neighbor, to_report
 from biblock.errors import (
     DisconnectedError,
     OddCycleError,
@@ -269,6 +270,28 @@ class TestBlockQueries:
             rest, _ = induced_subgraph(stripped, keep)
             removable = is_connected(rest)
             assert (bid in leaf_blocks(t)) == removable
+
+    def test_leaf_neighbor_matches_definition(self, biblock_by_k):
+        """(f, v) exactly when piece h holds one cut vertex v and v lies in
+        h and f only, on the standard and the unit tree of all of B(k)."""
+        answers = {"pair": 0, "none": 0}
+        for k in range(2, 9):
+            for g in biblock_by_k[k]:
+                for t in (decompose(g), unit_decomposition(g)):
+                    holders = {
+                        v: {i for i, p in enumerate(t.blocks) if v in p.vertices}
+                        for v in range(g.k)
+                    }
+                    assert holders == {v: set(ids) for v, ids in t.incidence.items()}
+                    for h, piece in enumerate(t.blocks):
+                        cuts = [v for v in piece.vertices if len(holders[v]) >= 2]
+                        expected = None
+                        if len(cuts) == 1 and len(holders[cuts[0]]) == 2:
+                            (f,) = holders[cuts[0]] - {h}
+                            expected = (f, cuts[0])
+                        assert leaf_neighbor(t, h) == expected
+                        answers["none" if expected is None else "pair"] += 1
+        assert answers["pair"] and answers["none"]
 
 
 class TestNeighborUnion:

@@ -377,6 +377,28 @@ class TestRobustness:
         assert code == 0, err
         assert "bi_block=true" in out
 
+    def test_alpha_of_a_path_with_one_long_augmenting_path(self, capsys, tmp_path):
+        # Labels p_{2i} -> i-1, p_0 -> n/2-1 and p_{2i-1} -> n/2+i-1 make the
+        # first matching phase pair each p_{2i} with p_{2i-1}, leaving one
+        # augmenting path through all n vertices.
+        n = 3000
+        label = [0] * n
+        label[0] = n // 2 - 1
+        for i in range(1, n // 2):
+            label[2 * i] = i - 1
+        for i in range(1, n // 2 + 1):
+            label[2 * i - 1] = n // 2 + i - 1
+        edges = [(label[j], label[j + 1]) for j in range(n - 1)]
+        path = tmp_path / "p3000.edges"
+        path.write_text(f"{n}\n" + "".join(f"{u} {v}\n" for u, v in edges))
+        code, out, err = run_cli(capsys, "alpha", "--witness", "--input", str(path))
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert lines[0] == "alpha=1500"
+        witness = {int(v) for v in lines[1].removeprefix("witness=").split()}
+        assert len(witness) == 1500
+        assert not any(u in witness and v in witness for u, v in edges)
+
     @pytest.mark.parametrize("k", [3001, 10**9])
     def test_header_above_the_size_limit_is_refused(self, capsys, tmp_path, k):
         path = tmp_path / "big.edges"

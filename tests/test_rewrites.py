@@ -54,7 +54,12 @@ def counting_normalize(monkeypatch):
     """A ``normalize`` that also reports the structure work it did: the
     graphs each lowpoint DFS, 2-colouring, matching and block-cut tree
     was built for, the ``_edit`` calls, the no-op steps it skipped, and
-    the ``is_bi_block`` calls."""
+    the ``is_bi_block`` calls.
+
+    Trees are counted where ``decompose`` builds them, through
+    ``blocks._tree``; ``rewrites`` holds its own reference to ``_tree``,
+    so the unit trees each step builds for its own bookkeeping are not
+    counted."""
     from biblock import blocks, graphs, independence, rewrites
 
     work = {}
@@ -82,14 +87,14 @@ def counting_normalize(monkeypatch):
     per_graph(graphs, "bipartition", "colouring")
     per_graph(independence, "bipartition", "colouring")
     per_graph(independence, "_hopcroft_karp", "matching")
-    make_tree = blocks.BlockCutTree
+    make_tree = blocks._tree
 
-    def counted_tree(**fields):
-        tree = make_tree(**fields)
+    def counted_tree(pieces, k):
+        tree = make_tree(pieces, k)
         work["tree"].append(tree)
         return tree
 
-    monkeypatch.setattr(blocks, "BlockCutTree", counted_tree)
+    monkeypatch.setattr(blocks, "_tree", counted_tree)
     per_call(rewrites, "_edit", "edit")
     per_call(rewrites, "apply_step", "no_op", lambda args, out: out.result == args[0])
     for mod in (blocks, rewrites):
@@ -106,8 +111,9 @@ def counting_normalize(monkeypatch):
 
 
 def assert_structure_built_once(g, trace, work):
-    """At most one DFS, 2-colouring, matching and tree per graph seen, no
-    ``is_bi_block``, and one ``_edit`` per step tried."""
+    """At most one DFS, 2-colouring, matching and tree per graph seen, a
+    tree for each of them, no ``is_bi_block``, and one ``_edit`` per step
+    tried."""
     seen = {g} | {o.result for o in trace}
     assert len(seen) == len(trace) + 1
     # A tree does not name its graph; each one built must be the tree
@@ -118,6 +124,7 @@ def assert_structure_built_once(g, trace, work):
                        ("matching", work["matching"]), ("tree", tree_graphs)):
         assert len(built) == len(set(built)), key
         assert set(built) <= seen, key
+    assert set(tree_graphs) == seen
     assert work["is_bi_block"] == 0
     assert work["edit"] == len(trace) + work["no_op"]
 
@@ -143,16 +150,16 @@ def double_star():
 class TestUnitDecomposition:
     def test_blocks_pass_through(self):
         g = build_two_block(2, 2, 2, 2)
-        units = unit_decomposition(g)
+        units = unit_decomposition(g).blocks
         assert len(units) == 2
 
     def test_star_coalesces(self):
-        units = unit_decomposition(complete_bipartite(1, 5))
+        units = unit_decomposition(complete_bipartite(1, 5)).blocks
         assert len(units) == 1
         assert frozenset({0}) in units[0].parts
 
     def test_spider_units(self):
-        units = unit_decomposition(spider())
+        units = unit_decomposition(spider()).blocks
         # One star at the center plus three leaf edges.
         assert len(units) == 4
         sizes = sorted(len(u.vertices) for u in units)
@@ -161,7 +168,7 @@ class TestUnitDecomposition:
     def test_units_partition_edges(self, biblock_by_k):
         for k in range(2, 8):
             for g in biblock_by_k[k]:
-                units = unit_decomposition(g)
+                units = unit_decomposition(g).blocks
                 covered = set()
                 for u in units:
                     for a in u.parts[0]:
@@ -283,12 +290,12 @@ class TestSplitPartition:
         t = decompose(g)
         f_id = next(i for i, b in enumerate(t.blocks) if len(b.vertices) == 4)
         h_id = next(i for i, b in enumerate(t.blocks) if 4 in b.vertices)
-        before_units = len(unit_decomposition(g))
+        before_units = len(unit_decomposition(g).blocks)
         out = split_partition_subcase22(g, f_id, h_id)
         assert out.alpha_after == out.alpha_before
         assert out.delta_rho >= -1e-10
         assert is_bi_block(out.result)
-        assert len(unit_decomposition(out.result)) == before_units - 1
+        assert len(unit_decomposition(out.result).blocks) == before_units - 1
         assert out.step.n1 == (4,)
         assert out.edges_removed  # the M x N2 edges really go
 

@@ -356,6 +356,14 @@ class TestIdentitiesJ:
         with pytest.raises(NoSuchConfigurationError):
             check_identities_J(g, LeafConfig(h_id=end, f_id=mid, v=1, c=2))
 
+    @pytest.mark.parametrize("h_id, f_id", [(-1, 1), (2, -2), (3, 1), (2, 3)])
+    def test_block_ids_out_of_range_are_refused(self, h_id, f_id):
+        # P4's blocks are {0,1}, {1,2}, {2,3}; -1 would name {2,3}.
+        from biblock.spectral import LeafConfig
+
+        with pytest.raises(NoSuchConfigurationError, match="out of range"):
+            leaf_eigen_data(path(4), LeafConfig(h_id=h_id, f_id=f_id, v=2, c=1))
+
 
 class TestDegreeBounds:
     def test_regular_graph(self):
