@@ -86,7 +86,7 @@ class BadSplitError(BiblockError, ValueError):
 
 
 class OrientationMismatchError(BiblockError):
-    """A merge orientation would place the cut vertex on both united sides."""
+    """A rewrite step's two sides overlap (raised by ``rewrites._edit``)."""
 
 
 class BlockIndexTooSmallError(BiblockError):

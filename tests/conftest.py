@@ -12,9 +12,8 @@ from biblock import (
     is_connected,
     read_edge_list,
 )
-from biblock.errors import DisconnectedError, OddCycleError
+from biblock.errors import DisconnectedError, OddCycleError, OrientationMismatchError
 from biblock.graphs import Bipartition, relabel
-from biblock.rewrites import _target_sides
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SCHEMAS = Path(__file__).parent.parent / "schemas"
@@ -154,9 +153,14 @@ def is_complete_bipartite_by_count(g) -> bool:
 
 
 def edit_by_edge_list(g, step):
-    """Oracle for ``rewrites._edit``: keep every edge with an end outside
-    the region, add all of side1 x side2, rebuild from the edge list."""
-    side1, side2 = _target_sides(step)
+    """Oracle for ``rewrites._edit``: refuse overlapping sides, keep every
+    edge with an end outside the region, add all of side1 x side2, and
+    rebuild from the edge list."""
+    side1, side2 = set(step.side1), set(step.side2)
+    if side1 & side2:
+        raise OrientationMismatchError(
+            f"united sides overlap in {sorted(side1 & side2)}"
+        )
     region = side1 | side2
     kept = [(u, w) for u, w in g.edges if u not in region or w not in region]
     cross = [(a, b) for a in sorted(side1) for b in sorted(side2)]

@@ -164,6 +164,24 @@ class TestRewriteCommand:
         assert code == 2
         assert "error" in err
 
+    def test_alpha_changing_merge_is_usage_error(self, capsys, monkeypatch):
+        # A caller-chosen step that would change alpha is a refused
+        # request (exit 2), not a broken theorem (exit 1).
+        monkeypatch.setattr(sys, "stdin", io.StringIO("6\n0 1\n0 4\n0 5\n1 2\n1 3\n"))
+        code, out, err = run_cli(
+            capsys, "rewrite", "--kind", "merge", "--f-block", "1", "--h-block", "3"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: merge: the step would change alpha 4 -> 3\n"
+
+    def test_alpha_changing_split_is_usage_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "rewrite", "--input", FIG1, "--kind", "split",
+            "--f-block", "0", "--h-block", "1",
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: case 3 subcase 2.2: the step would change alpha 13 -> 12\n"
+
     @pytest.mark.parametrize(
         "ids",
         [

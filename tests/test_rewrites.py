@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import product
 
 import pytest
 
@@ -22,6 +23,7 @@ from biblock import (
     reattach_subcase32,
     reduce_block_index,
     split_partition_subcase22,
+    two_block_labeling,
     unit_decomposition,
 )
 from biblock.errors import (
@@ -205,23 +207,6 @@ class TestMergeBlocks:
         assert out.alpha_after == 5
         assert out.delta_rho > 1e-10
 
-    def test_orientation_mismatch(self):
-        g = build_two_block(2, 2, 2, 2)
-        t = decompose(g)
-        f, h = t.blocks[0], t.blocks[1]
-        (v,) = f.vertices & h.vertices
-        wrong = (f.side_of(v), h.other_side(v))
-        with pytest.raises(OrientationMismatchError):
-            merge_blocks(g, 0, 1, orientation=wrong)
-
-    def test_valid_orientation_accepted(self):
-        g = build_two_block(2, 2, 2, 2)
-        t = decompose(g)
-        f, h = t.blocks[0], t.blocks[1]
-        (v,) = f.vertices & h.vertices
-        out = merge_blocks(g, 0, 1, orientation=(f.side_of(v), h.side_of(v)))
-        assert is_isomorphic(out.result, complete_bipartite(4, 3))
-
     def test_non_neighbors_rejected(self):
         # Far-apart pendant blocks whose star units do not touch either.
         g = path(7)
@@ -232,14 +217,26 @@ class TestMergeBlocks:
             merge_blocks(g, first, last)
 
     def test_wrong_case_merge_fails_loudly(self):
-        # q > p, n > m, p < q-1: the plain merge changes alpha and the
-        # postcondition check must refuse it.
+        # q > p, n > m, p < q-1: the plain merge changes alpha.  The
+        # public op refuses it as a failed precondition before it runs;
+        # apply_step's postcondition still refuses the same step.
         g = build_two_block(1, 4, 1, 3)
         t = decompose(g)
         f_id = next(i for i, b in enumerate(t.blocks) if 0 in b.vertices)
         h_id = next(i for i, b in enumerate(t.blocks) if 5 in b.vertices)
-        with pytest.raises(PostconditionViolationError):
+        with pytest.raises(PreconditionFailedError, match="alpha 6 -> 4"):
             merge_blocks(g, f_id, h_id)
+        step = RewriteStep(MERGE_BLOCKS, "merge", 4, (0, 5, 6, 7), (1, 2, 3, 4))
+        with pytest.raises(PostconditionViolationError, match="alpha changed 6 -> 4"):
+            apply_step(g, step)
+
+    def test_alpha_changing_merge_is_a_precondition_failure(self):
+        # A double star: centres 0 and 1 joined by an edge, leaves 4, 5
+        # at 0 and 2, 3 at 1.  Blocks 1 and 3 ({0, 4} and {1, 2}) name
+        # the two stars, whose merge K({0, 2, 3}, {1, 4, 5}) has alpha 3.
+        g = from_edge_list(6, [(0, 1), (0, 4), (0, 5), (1, 2), (1, 3)])
+        with pytest.raises(PreconditionFailedError, match="alpha 4 -> 3"):
+            merge_blocks(g, 1, 3)
 
 
 class TestReattach:
@@ -296,7 +293,9 @@ class TestSplitPartition:
         assert out.delta_rho >= -1e-10
         assert is_bi_block(out.result)
         assert len(unit_decomposition(out.result).blocks) == before_units - 1
-        assert out.step.n1 == (4,)
+        # K(P u N1, Q u M u N2) with P = {2, 3}, Q = {0, 1}, M = {0} and
+        # N1 = {4}: the m smallest labels of N = {4, 5}.
+        assert (out.step.side1, out.step.side2) == ((2, 3, 4), (0, 1, 5))
         assert out.edges_removed  # the M x N2 edges really go
 
     def test_split_matches_driver_choice(self):
@@ -316,7 +315,7 @@ class TestSplitPartition:
         f_id = next(i for i, b in enumerate(t.blocks) if len(b.vertices) == 4)
         h_id = next(i for i, b in enumerate(t.blocks) if 4 in b.vertices)
         out = split_partition_subcase22(g, f_id, h_id, n1_choice=[5])
-        assert out.step.n1 == (5,)
+        assert (out.step.side1, out.step.side2) == ((2, 3, 5), (0, 1, 4))
         assert out.alpha_after == out.alpha_before
 
     def test_bad_split_rejected(self):
@@ -326,6 +325,18 @@ class TestSplitPartition:
         h_id = next(i for i, b in enumerate(t.blocks) if 4 in b.vertices)
         with pytest.raises(BadSplitError):
             split_partition_subcase22(g, f_id, h_id, n1_choice=[4, 5])
+
+    def test_alpha_changing_split_on_fig1_is_refused(self, fig1):
+        with pytest.raises(PreconditionFailedError, match="alpha 13 -> 12"):
+            split_partition_subcase22(fig1, 0, 1)
+
+    def test_repeated_label_rejected(self):
+        # m = 2: a repeated label names one vertex of N, not two.
+        g = build_two_block(2, 3, 2, 3)
+        with pytest.raises(BadSplitError):
+            split_partition_subcase22(g, 0, 1, n1_choice=[6, 6])
+        out = split_partition_subcase22(g, 0, 1, n1_choice=[6, 7])
+        assert (out.step.side1, out.step.side2) == ((0, 1, 6, 7), (2, 3, 4, 5, 8))
 
     def test_equal_sides_rejected(self):
         g = build_two_block(2, 2, 2, 2)
@@ -488,10 +499,8 @@ class TestApplyStepEdits:
             kind=MERGE_BLOCKS,
             case="case 1",
             cut_vertex=3,
-            f_far=(0, 1),
-            f_near=(2, 3),
-            h_far=(3, 4),
-            h_near=(5, 6),
+            side1=(0, 1, 3, 4),
+            side2=(2, 3, 5, 6),
         )
         got = outcome(_edit, g, step)
         assert got == outcome(edit_by_edge_list, g, step)
@@ -504,10 +513,8 @@ class TestApplyStepEdits:
             kind=MERGE_BLOCKS,
             case="case 1",
             cut_vertex=3,
-            f_far=(0, 1),
-            f_near=(2, 3),
-            h_far=far,
-            h_near=(3, 4),
+            side1=tuple(sorted((0, 1) + far)),
+            side2=(2, 3, 4),
         )
         with pytest.raises(OutOfRangeError):
             apply_step(g, step)
@@ -518,10 +525,8 @@ class TestApplyStepEdits:
             kind=MERGE_BLOCKS,
             case="case 1",
             cut_vertex=3,
-            f_far=(0, 1),
-            f_near=(2, 3),
-            h_far=(5, 6),
-            h_near=(3, 4),
+            side1=(0, 1, 5, 6),
+            side2=(2, 3, 4),
         )
         res = _edit(g, step)
         assert res.edge_count == 4 * 3
@@ -532,10 +537,8 @@ class TestApplyStepEdits:
             kind=REATTACH,
             case="two-block subcase 3.2",
             cut_vertex=4,
-            f_far=(0,),
-            f_near=(1, 2, 3, 4),
-            h_far=(5, 6, 7),
-            h_near=(4,),
+            side1=(0, 4),
+            side2=(1, 2, 3, 5, 6, 7),
         )
         res = _edit(g, step)
         assert res.edge_count == 2 * 6
@@ -552,16 +555,50 @@ class TestApplyStepEdits:
             kind=SPLIT_PARTITION,
             case="case 3 subcase 2.2",
             cut_vertex=3,
-            f_far=(0, 1),
-            f_near=(2, 3),
-            h_far=(5, 6, 7),
-            h_near=(3, 4),
-            n1=(5, 6),
+            side1=(0, 1, 5, 6),
+            side2=(2, 3, 4, 7),
         )
         res = _edit(g, step)
         # K(P u N1, Q u M u N2) on 8 vertices: sides {0,1,5,6} and {2,3,4,7}.
         assert res.edge_count == 16
         assert is_complete_bipartite(res)
+
+
+class TestTargets:
+    """Each public op installs the piece the proof names, checked against
+    the two-block labels P, Q, M, N rather than the step constructors."""
+
+    @staticmethod
+    def complete(k, side1, side2):
+        return from_edge_list(k, [(min(a, b), max(a, b)) for a in side1 for b in side2])
+
+    def test_two_block_targets(self):
+        answered = {merge_blocks: 0, reattach_subcase32: 0, split_partition_subcase22: 0}
+        for p, q, m, n in product(range(1, 5), repeat=4):
+            g = build_two_block(p, q, m, n)
+            if len(decompose(g).blocks) != 2:
+                continue
+            lab = two_block_labeling(p, q, m, n)
+            P, Q, M, N = map(set, (lab.P, lab.Q, lab.M, lab.N))
+            assert P | Q == decompose(g).blocks[0].vertices  # block 0 is F
+            n1 = set(sorted(N)[:m])
+            targets = {
+                merge_blocks: (P | N, Q | M),
+                reattach_subcase32: (P | M, (Q - {lab.v}) | N),
+                split_partition_subcase22: (P | n1, Q | M | (N - n1)),
+            }
+            alpha = alpha_matching(g).alpha
+            for op, (side1, side2) in targets.items():
+                tag, out = outcome(op, g, 0, 1)
+                if tag == "value":
+                    assert out.result == self.complete(g.k, side1, side2), (op, p, q, m, n)
+                    answered[op] += 1
+                else:
+                    assert tag is PreconditionFailedError, (op, p, q, m, n, out)
+                    if "alpha" in out:
+                        # K(side1, side2) has alpha max(|side1|, |side2|).
+                        assert max(len(side1), len(side2)) != alpha
+        assert all(answered.values()), answered
 
 
 class TestNormalize:
