@@ -182,12 +182,13 @@ def is_bi_block(g: Graph) -> bool:
     """True iff g is connected and every block is complete bipartite.
 
     Reads the same blocks as ``decompose`` but builds and caches no
-    block-cut tree.  Enumeration asserts ``is_bi_block`` on every graph
-    it returns and never reads a tree afterwards, and cached trees for
-    all of B(10) would hold about 5.0 MB, seven times the sweep's cached
-    alphas and Perron pairs.  The rewrite system checks bi-block-ness
-    through ``decompose`` instead, because the next ``find_applicable``
-    reads the cached tree of every graph it checks.
+    block-cut tree, for callers that never read a tree afterwards:
+    ``validate`` and the tests, which check it on every graph of B(k),
+    k <= 12.  Enumeration does not call it: each build asserts the
+    labels, edge count and connectivity its code states instead.  The
+    rewrite system checks bi-block-ness through ``decompose``, because
+    the next ``find_applicable`` reads the cached tree of every graph
+    it checks.
     """
     return is_connected(g) and all(blk.parts is not None for blk in _blocks(g))
 

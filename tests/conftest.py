@@ -9,11 +9,20 @@ from biblock import (
     complete_bipartite,
     enumerate_biblock,
     from_edge_list,
+    is_bi_block,
     is_connected,
     read_edge_list,
 )
-from biblock.errors import DisconnectedError, OddCycleError, OrientationMismatchError
+from biblock.errors import (
+    DisconnectedError,
+    InvalidSizeError,
+    OddCycleError,
+    OrientationMismatchError,
+    TooLargeError,
+)
 from biblock.graphs import Bipartition, relabel
+
+FILTER_CAP = 7
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SCHEMAS = Path(__file__).parent.parent / "schemas"
@@ -105,6 +114,47 @@ def enumerate_by_attachment(k: int) -> dict:
                 for a in range(1, j + 1):
                     visit(_attach_block(g, w, a, j - a + 1))
     return results
+
+
+def enumerate_biblock_filtered(k: int) -> list:
+    """Oracle for the block-cut-tree generator: filter connected
+    bipartite edge subsets.
+
+    Every connected bipartite graph has a unique 2-coloring with vertex
+    0 on side M, so iterating over (M, edge subset) pairs hits each
+    labeled graph exactly once.  Capped low; cost grows as 2^(m*n).
+    """
+    if k < 2:
+        raise InvalidSizeError(f"enumeration needs k >= 2, got {k}")
+    if k > FILTER_CAP:
+        raise TooLargeError(f"filter route capped at k <= {FILTER_CAP}, got {k}")
+    results = {}
+    for m_rest in range(1 << (k - 1)):
+        m_side = [0] + [v for v in range(1, k) if m_rest >> (v - 1) & 1]
+        n_side = [v for v in range(1, k) if not m_rest >> (v - 1) & 1]
+        if not n_side:
+            continue
+        cross = [(u, v) for u in m_side for v in n_side]
+        if len(cross) < k - 1:
+            continue
+        for picks in range(1 << len(cross)):
+            if picks.bit_count() < k - 1:
+                continue
+            adj = [0] * k
+            p = picks
+            idx = 0
+            while p:
+                if p & 1:
+                    u, v = cross[idx]
+                    adj[u] |= 1 << v
+                    adj[v] |= 1 << u
+                p >>= 1
+                idx += 1
+            g = Graph(k, tuple(adj))
+            if not is_connected(g) or not is_bi_block(g):
+                continue
+            results.setdefault(canonical_form(g), g)
+    return [results[f] for f in sorted(results)]
 
 
 # ---------------------------------------------------------------------------

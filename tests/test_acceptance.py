@@ -23,7 +23,6 @@ from biblock import (
     decompose,
     degree_bounds,
     edge_monotonicity_check,
-    enumerate_biblock_filtered,
     extract_two_block_data,
     find_applicable,
     find_leaf_configs,
@@ -39,7 +38,7 @@ from biblock import (
 )
 from biblock.blocks import leaf_blocks
 from biblock.rewrites import REDUCE_BLOCK_INDEX
-from conftest import random_connected_bipartite
+from conftest import enumerate_biblock_filtered, random_connected_bipartite
 
 RHO_TOL = 1e-9
 RHO_MARGIN = 1e-10

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import io
 import json
 import math
@@ -9,10 +10,13 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from jsonschema import validate
 
+from biblock import verify_theorem
 from biblock.cli import main
+from biblock.errors import NoConvergenceError
 from conftest import FIXTURES, SCHEMAS, random_biblock
 
 
@@ -316,6 +320,67 @@ class TestVerifyTheoremCommand:
             capsys, "verify-theorem", "--k", "5", "--format", "json"
         )
         assert first == second
+
+
+# sha256 of the stdout of `verify-theorem --k K`, (text, json), as printed
+# before the sweep took alpha from the generator and solved each class in
+# batches; both changes must leave every byte as it was.
+VERIFY_STDOUT_SHA256 = {
+    2: ("4adad89f413ac49e064884338d596e1322994a4147988a255be90039d2ce1cd1",
+        "1146955f8c2d4159b7806bf8236d0a5737612fce88197e59e64a2a47d44a7a7e"),
+    3: ("892fed86df795753d3ed72f62e8197a6e078e61170cfafecbf896932e91d0ab7",
+        "781394b19fa7573f5467e0bd7a1c29f15dbf437a585864770163bae35bab381d"),
+    4: ("36be8b933fa7396a8cc6ae200cf9547e9dc607c71add65cdcc55727d4ae23bf0",
+        "546c886ecd80e7209d3d0aa18d8d16818d5383f81b1e58c458aac67247ae6526"),
+    5: ("e0f918b9ff81ab83a9d121ea8f8574906efe40089a14fb7c030deef0c04a5f09",
+        "fd7038b9f31dcdcb0972d485436ed738858bc9e83ccdc736f6fe5f5f8b423a83"),
+    6: ("678a2ff2e2a60124a1afddb26da9d3f097c95b47fb38b1d0d995c8ad33e4fbc1",
+        "b3255c48418fcff78b71e6715f73aa89593694ca3b84e68b4dc26dcabe2b4367"),
+    7: ("16039263844d995825eceb748249f0249cec3c86514247861b5bbc3498be43b9",
+        "4859eb091dee32ed1272b4505bb01eea0294b0c0dffffeebb1800a863255ec77"),
+    8: ("78a4c4bc817e5036b9abe0b85f346bdaf407efe4b61d707038f30c2816ce0eb9",
+        "74444bf37795dc72c429f81b0b867625caec115e00a9ba34725731a18cd0c3b9"),
+    9: ("1e34b5f9971b52b86e00ef6ea9ff885b273f5f826cd87233e14dba4725badfea",
+        "2a5d48547d2c08266057fcc08ee405f68b71e6af7d290425d22607fdf250a611"),
+    10: ("d711adc2b1b61827a32c24adc76128ca7771f3b11ce374ab991b74c7253a201e",
+         "732615838f9363130db456625fae3c0f5b8b910234e4f05a58cf0e03850e99ac"),
+    11: ("d440da2f77d18c5815478861829ee30a6ec2d58de8619200aa206bb3ad97e0fe",
+         "5c25c1c50b56b8b4bd0fca3c843b7b70df25cd59a018d888cb2016f834664049"),
+    12: ("138d1ba4dc4d3a93886bb58f2b4eedfab6020f07e13552210e2fa841340ef39b",
+         "7cc8d6aa6172507f98beb43b6d21562faf68bf11a13019b3e0ad20534d4bd634"),
+}
+
+
+class TestVerifyTheoremBytes:
+    @pytest.mark.parametrize("k", sorted(VERIFY_STDOUT_SHA256))
+    def test_stdout_pinned(self, capsys, k):
+        for fmt, expected in zip(("text", "json"), VERIFY_STDOUT_SHA256[k]):
+            code, out, err = run_cli(capsys, "verify-theorem", "--k", str(k), "--format", fmt)
+            assert code == 0, err
+            assert hashlib.sha256(out.encode()).hexdigest() == expected, (k, fmt)
+
+    @pytest.mark.parametrize("spoil", ["residual", "positivity"])
+    def test_spoiled_batch_eigenvector_exits_one(self, capsys, monkeypatch, spoil):
+        """One eigenvector in the middle of a batched solve is spoiled: its
+        top vector is shifted off the eigenvector, or made NaN so that no
+        entry is positive.  The sweep must raise NoConvergenceError, and
+        the CLI exit with code 1."""
+        eigh = np.linalg.eigh
+
+        def spoiled(a):
+            w, v = eigh(a)
+            if a.ndim == 3 and len(a) > 1:
+                i = len(a) // 2
+                v[i, :, -1] = v[i, :, -1] + 1e-3 if spoil == "residual" else np.nan
+            return w, v
+
+        monkeypatch.setattr(np.linalg, "eigh", spoiled)
+        with pytest.raises(NoConvergenceError, match="Perron pair failed its checks"):
+            verify_theorem(10)
+        code, out, err = run_cli(capsys, "verify-theorem", "--k", "10")
+        assert code == 1
+        assert out == ""
+        assert "verification failure: Perron pair failed its checks" in err
 
 
 class TestExitCodes:

@@ -2,27 +2,31 @@ import gc
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from biblock import (
     ClassSpec,
+    Graph,
     alpha_bounds,
     alpha_matching,
+    biblock_classes,
     canonical_form,
     complete_bipartite,
     enumerate_biblock,
-    enumerate_biblock_filtered,
     enumerate_class,
     extremal_verify,
     is_bi_block,
     is_connected,
     is_isomorphic,
     perron,
+    perron_batch,
     verify_theorem,
 )
+from biblock import blocks, enumeration, independence
 from biblock.errors import EmptyClassError, InvalidSizeError, TooLargeError
 from biblock.graphs import is_bipartite
-from conftest import enumerate_by_attachment, outcome
+from conftest import enumerate_biblock_filtered, enumerate_by_attachment, outcome
 
 # Counts frozen from the dual-path cross-validation and regression runs;
 # 10..12 from the block-attachment route with canonical-form dedup.
@@ -38,6 +42,12 @@ def biblock_forms(biblock_by_k):
     by_k = dict(biblock_by_k)
     by_k.update((k, enumerate_biblock(k)) for k in (10, 11, 12))
     return {k: [canonical_form(g) for g in gs] for k, gs in by_k.items()}
+
+
+@pytest.fixture(scope="module")
+def classes_by_k():
+    """``biblock_classes(k)`` for k = 2..12."""
+    return {k: biblock_classes(k) for k in range(2, 13)}
 
 
 class TestEnumerateBiblock:
@@ -188,3 +198,96 @@ def test_sweep_keeps_little_per_graph():
     finally:
         tracemalloc.stop()
     assert retained / len(graphs) < 1536
+
+
+def test_batched_sweep_keeps_little_per_graph():
+    """What ``perron_batch`` leaves cached on each graph of B(10): a
+    Perron pair whose X is a row of its chunk's (n, k) array, with no
+    k x k matrix or eigenvector stack kept alive."""
+    graphs = enumerate_biblock(10)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        perron_batch(graphs)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained / len(graphs) < 1536
+
+
+class TestGeneratorOracles:
+    """The sweep trusts the generator's alpha and a structural check of
+    each build; the full computations stay here, over all of B(k)."""
+
+    def test_classes_partition_b_k_in_code_order(self, classes_by_k):
+        for k, classes in classes_by_k.items():
+            assert list(classes) == sorted(classes)
+            position = {g: i for i, g in enumerate(enumerate_biblock(k))}
+            order = [[position[g] for g in members] for members in classes.values()]
+            assert all(members == sorted(members) for members in order)
+            assert sorted(i for members in order for i in members) == list(range(len(position)))
+
+    def test_alpha_from_the_code_is_alpha_matching(self, classes_by_k):
+        for k, classes in classes_by_k.items():
+            for alpha, members in classes.items():
+                for g in members:
+                    assert alpha_matching(g).alpha == alpha, (k, g)
+
+    def test_every_build_is_bi_block(self, classes_by_k):
+        for classes in classes_by_k.values():
+            for members in classes.values():
+                assert all(is_bi_block(g) for g in members)
+
+    def test_batched_perron_matches_per_graph(self, classes_by_k):
+        for k in range(2, 11):
+            for members in classes_by_k[k].values():
+                rhos = perron_batch(members)
+                for g, rho in zip(members, rhos):
+                    fresh = perron(Graph(g.k, g.adj))
+                    assert abs(rho - fresh.rho) <= 1e-13 * fresh.rho, (k, g)
+                assert all(np.all(perron(g).X > 0) for g in members)
+
+    def test_sweep_never_calls_the_full_checks(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the sweep called a full check")
+
+        for mod in (independence, enumeration):
+            monkeypatch.setattr(mod, "alpha_matching", refuse, raising=False)
+        for mod in (blocks, enumeration):
+            monkeypatch.setattr(mod, "is_bi_block", refuse, raising=False)
+        assert [r.class_size for r in verify_theorem(10)] == [150, 440, 172, 23, 1]
+        assert len(enumerate_class(ClassSpec(9, 5))) == 141
+
+
+class TestBuildCheck:
+    """``build`` asserts that its labels, edge count and connectivity are
+    what the code states; broken joins must trip it."""
+
+    def test_blocks_sharing_a_label_fail(self, monkeypatch):
+        join = enumeration._join
+
+        def overlapping(adj, one, two):
+            # A block away from vertex 0 takes label 0 for its last vertex,
+            # so it shares that label with a block through vertex 0.
+            if 0 not in one:
+                two = [*two[:-1], 0]
+            join(adj, one, two)
+
+        monkeypatch.setattr(enumeration, "_join", overlapping)
+        with pytest.raises(AssertionError):
+            enumerate_biblock(6)
+
+    def test_a_dropped_edge_fails(self, monkeypatch):
+        join = enumeration._join
+
+        def lossy(adj, one, two):
+            join(adj, one, two)
+            u, w = one[-1], list(two)[-1]
+            if len(one) > 1 and len(two) > 1:
+                adj[u] &= ~(1 << w)
+                adj[w] &= ~(1 << u)
+
+        monkeypatch.setattr(enumeration, "_join", lossy)
+        with pytest.raises(AssertionError):
+            enumerate_biblock(6)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from biblock import (
+    Graph,
     add_edge,
     build_two_block,
     check_identities_I,
@@ -20,6 +21,7 @@ from biblock import (
     is_isomorphic,
     leaf_eigen_data,
     perron,
+    perron_batch,
     quad_form_delta,
     rayleigh,
     two_block_labeling,
@@ -129,6 +131,37 @@ class TestPerron:
         monkeypatch.setattr(spectral, "DEFAULT_TOL", -1.0)
         with pytest.raises(NoConvergenceError):
             perron(path(3))
+
+
+class TestPerronBatch:
+    def test_matches_perron_in_any_chunking(self, monkeypatch):
+        from biblock import spectral
+
+        rng = random.Random(488)
+        shapes = [random_biblock(rng, 40) for _ in range(7)]
+        expected = [perron(Graph(g.k, g.adj)) for g in shapes]
+        for chunk in (1, 3, 512):
+            monkeypatch.setattr(spectral, "BATCH_CHUNK", chunk)
+            graphs = [Graph(g.k, g.adj) for g in shapes]
+            rhos = perron_batch(graphs)
+            for g, rho, pair in zip(graphs, rhos, expected):
+                assert abs(rho - pair.rho) <= 1e-13 * pair.rho
+                assert perron(g).rho == rho
+                assert np.max(np.abs(perron(g).X - pair.X)) <= 1e-12
+                assert not perron(g).X.flags.writeable
+
+    def test_cached_pairs_are_kept(self):
+        g, h = path(5), path(5)
+        pair = perron(g)
+        assert perron_batch([g, h, g]) == [pair.rho] * 3
+        assert perron(g) is pair and perron(h).rho == pair.rho
+
+    def test_mixed_or_too_small_sizes_refused(self):
+        with pytest.raises(SizeMismatchError):
+            perron_batch([path(3), path(4)])
+        with pytest.raises(InvalidSizeError):
+            perron_batch([from_edge_list(1, [])])
+        assert perron_batch([]) == []
 
 
 class TestRayleigh:
