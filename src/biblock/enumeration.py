@@ -19,7 +19,9 @@ set counts tabulated once per piece and branch, so ``verify_theorem``
 and ``enumerate_class`` partition B(k) by that value without a
 matching.  ``_verify_class`` solves each class's Perron pairs in
 batches (``spectral.perron_batch``) and caches each pair on its graph.
-One per-class check serves the sweep and ``extremal_verify``.
+One per-class check serves the sweep and ``extremal_verify``: it is
+structural, reading the maximizer's rows rather than a canonical form,
+and gives a report only when that maximizer is unique.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .graphs import (
     CanonicalForm,
     Graph,
     canonical_form,
-    complete_bipartite,
+    is_complete_bipartite,
     is_connected,
 )
 from .independence import alpha_bounds
@@ -305,32 +307,21 @@ def _verify_class(k: int, alpha: int, members: list[Graph]) -> ExtremalReport:
     """Maximize rho over the members of B(k, alpha) and check the
     extremal claims.
 
-    The maximizer must be K_{alpha, k-alpha}, its rho must equal
-    sqrt(alpha * (k - alpha)), and in classes with more than one member
-    the runner-up must trail by more than the uniqueness band.  Raises
-    TheoremViolationError (carrying the offender) otherwise.
+    The check is structural: the maximizer must be complete bipartite
+    with alpha * (k - alpha) edges, on k vertices exactly K_{alpha,
+    k-alpha}, with rho sqrt(alpha * (k - alpha)), and any runner-up must
+    trail by more than the uniqueness band.  Raises TheoremViolationError
+    (carrying the offender) otherwise: every report has ``is_unique`` true.
     """
     if not members:
         raise EmptyClassError(f"B({k}, {alpha}) is empty")
     rhos = perron_batch(members)
     order = sorted(range(len(members)), key=lambda i: rhos[i], reverse=True)
-    best = order[0]
-    max_rho = rhos[best]
-    argmax = members[best]
+    argmax = members[order[0]]
+    max_rho = rhos[order[0]]
     runner_up = rhos[order[1]] if len(members) > 1 else None
     margin = max_rho - runner_up if runner_up is not None else None
-    attain = [i for i in order if rhos[i] > max_rho - UNIQUENESS_BAND]
-    report = ExtremalReport(
-        k=k,
-        alpha=alpha,
-        class_size=len(members),
-        max_rho=max_rho,
-        argmax_canonical=canonical_form(argmax),
-        is_unique=len(attain) == 1,
-        runner_up_rho=runner_up,
-        margin=margin,
-    )
-    if report.argmax_canonical != canonical_form(complete_bipartite(alpha, k - alpha)):
+    if not (is_complete_bipartite(argmax) and argmax.edge_count == alpha * (k - alpha)):
         raise TheoremViolationError(
             f"argmax of B({k},{alpha}) is not K_{{alpha,k-alpha}}", argmax
         )
@@ -340,12 +331,22 @@ def _verify_class(k: int, alpha: int, members: list[Graph]) -> ExtremalReport:
             f"max rho {max_rho} differs from sqrt(alpha(k-alpha)) = {expected}",
             argmax,
         )
-    if len(members) > 1 and not (margin is not None and margin > UNIQUENESS_BAND):
+    is_unique = margin is None or margin > UNIQUENESS_BAND
+    if not is_unique:
         raise TheoremViolationError(
             f"maximizer of B({k},{alpha}) is not unique (margin {margin})",
             members[order[1]],
         )
-    return report
+    return ExtremalReport(
+        k=k,
+        alpha=alpha,
+        class_size=len(members),
+        max_rho=max_rho,
+        argmax_canonical=canonical_form(argmax),
+        is_unique=is_unique,
+        runner_up_rho=runner_up,
+        margin=margin,
+    )
 
 
 def extremal_verify(spec: ClassSpec) -> ExtremalReport:

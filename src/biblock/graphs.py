@@ -94,9 +94,6 @@ class Graph:
     def __repr__(self) -> str:
         return f"Graph(k={self.k}, edges={sorted(self.edges)})"
 
-    def __reduce__(self):
-        return (Graph, (self.k, self.adj))
-
 
 def _bits(mask: int):
     """Set bit positions in ascending order, one step per set bit."""
@@ -201,19 +198,40 @@ def delete_edges(g: Graph, pairs) -> Graph:
     return Graph(g.k, tuple(adj))
 
 
-def is_connected(g: Graph) -> bool:
-    """True iff the graph has a single connected component."""
-    if g.k == 1:
-        return True
-    seen = 1
-    frontier = 1
+def _layers(g: Graph, start: int) -> tuple[int, int, int]:
+    """Breadth-first layering from ``start``: ``(component, even, odd)``
+    as masks, each layer the OR of the previous layer's rows less the
+    vertices already seen, split by the parity of its depth."""
+    adj = g.adj
+    sides = [1 << start, 0]
+    seen = frontier = 1 << start
+    layer = 0
     while frontier:
         nxt = 0
         for u in _bits(frontier):
-            nxt |= g.adj[u]
+            nxt |= adj[u]
         frontier = nxt & ~seen
         seen |= frontier
-    return seen == (1 << g.k) - 1
+        layer ^= 1
+        sides[layer] |= frontier
+    return seen, sides[0], sides[1]
+
+
+def _same_side_edge(g: Graph, even: int, odd: int) -> tuple[int, int] | None:
+    """The first edge (u, v) with both ends in ``even`` or both in ``odd``,
+    smallest u then smallest v, found by AND-ing each row with its own
+    side; None when every edge crosses."""
+    adj = g.adj
+    for u in range(g.k):
+        same = adj[u] & (even if even >> u & 1 else odd)
+        if same:
+            return u, (same & -same).bit_length() - 1
+    return None
+
+
+def is_connected(g: Graph) -> bool:
+    """True iff the component ``_layers`` reaches from vertex 0 is all of g."""
+    return _layers(g, 0)[0] == (1 << g.k) - 1
 
 
 @dataclass(frozen=True)
@@ -225,37 +243,19 @@ class Bipartition:
 
 
 def bipartition(g: Graph) -> Bipartition:
-    """2-color a connected graph by breadth-first layering on bitmasks.
+    """2-color a connected graph by the breadth-first layering ``_layers``.
 
-    Each BFS layer is one mask, the OR of the previous layer's rows less
-    the vertices already seen; even layers form M, the side containing
-    vertex 0, which makes the output deterministic.  Raises
-    DisconnectedError if some vertex is unreachable from 0, else
-    OddCycleError naming the first same-side edge (u, v), smallest u then
-    smallest v, found by AND-ing each row with its own side.
+    Even layers form M, the side containing vertex 0, which makes the
+    output deterministic.  Raises DisconnectedError if some vertex is
+    unreachable from 0, else OddCycleError naming the first same-side
+    edge (u, v), smallest u then smallest v.
     """
-    adj = g.adj
-    sides = [1, 0]
-    seen = frontier = 1
-    layer = 0
-    while frontier:
-        nxt = 0
-        for u in _bits(frontier):
-            nxt |= adj[u]
-        frontier = nxt & ~seen
-        seen |= frontier
-        layer ^= 1
-        sides[layer] |= frontier
+    seen, m, n = _layers(g, 0)
     if seen != (1 << g.k) - 1:
         raise DisconnectedError("graph is not connected")
-    m, n = sides
-    for u in range(g.k):
-        same = adj[u] & (m if m >> u & 1 else n)
-        if same:
-            v = (same & -same).bit_length() - 1
-            raise OddCycleError(
-                f"odd cycle: edge ({u}, {v}) joins same-color vertices"
-            )
+    edge = _same_side_edge(g, m, n)
+    if edge is not None:
+        raise OddCycleError(f"odd cycle: edge {edge} joins same-color vertices")
     return Bipartition(frozenset(_bits(m)), frozenset(_bits(n)))
 
 
@@ -264,7 +264,9 @@ def is_complete_bipartite(g: Graph) -> bool:
 
     Compares rows instead of 2-colouring: with N = adj[0] and M its
     complement, g is K(M, N) exactly when N is non-empty, every row of M
-    equals N and every row of N equals M.
+    equals N and every row of N equals M.  Production callers:
+    ``rewrites`` (``normalize``, ``find_applicable``) and
+    ``enumeration._verify_class``, which checks each class's maximizer.
     """
     if g.k < 2:
         return False
@@ -277,24 +279,18 @@ def is_complete_bipartite(g: Graph) -> bool:
 
 
 def is_bipartite(g: Graph) -> bool:
-    """True iff g (not necessarily connected) has no odd cycle."""
-    color = [-1] * g.k
-    for start in range(g.k):
-        if color[start] != -1:
-            continue
-        color[start] = 0
-        queue = [start]
-        while queue:
-            nxt = []
-            for u in queue:
-                for v in _bits(g.adj[u]):
-                    if color[v] == -1:
-                        color[v] = 1 - color[u]
-                        nxt.append(v)
-                    elif color[v] == color[u]:
-                        return False
-            queue = nxt
-    return True
+    """True iff g (not necessarily connected) has no odd cycle: each
+    component is layered by ``_layers`` from its lowest vertex, and no
+    edge may join two vertices of the same parity."""
+    full = (1 << g.k) - 1
+    seen = even = odd = 0
+    while seen != full:
+        unseen = full & ~seen
+        component, e, o = _layers(g, (unseen & -unseen).bit_length() - 1)
+        seen |= component
+        even |= e
+        odd |= o
+    return _same_side_edge(g, even, odd) is None
 
 
 def relabel(g: Graph, perm) -> Graph:

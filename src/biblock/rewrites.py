@@ -544,10 +544,11 @@ def find_applicable(g: Graph, witness) -> list[RewriteStep]:
     equal steps only the first is kept.  Complete bipartite graphs,
     stars included, admit no step.
 
-    The standard-block pass mostly merges pendant edges of one star, a
-    no-op, but not only: over the normalize runs of all B(k), k <= 12,
-    it offered 70669 no-op steps, 26813 real edits and 2133 repeats of
-    unit reductions, and none of its steps was ever the one applied.
+    The standard-block pass mostly offers no-op merges of one star's
+    pendant edges (70669 over the normalize runs of all B(k), k <= 12,
+    beside 26813 real edits), and none of its steps is applied there;
+    but over ``bench/gen.normalize_graphs(seed)``, seeds 1..40, 16 of
+    23760 runs apply a step only it offers.
     """
     t = decompose(g)
     witness = frozenset(witness)

@@ -190,6 +190,29 @@ def bipartition_bfs(g) -> Bipartition:
     return Bipartition(m, n)
 
 
+def is_bipartite_bfs(g) -> bool:
+    """Oracle for ``graphs.is_bipartite``: a per-vertex colour list filled
+    by BFS from each uncoloured vertex, failing on the first edge whose
+    ends share a colour."""
+    color = [-1] * g.k
+    for start in range(g.k):
+        if color[start] != -1:
+            continue
+        color[start] = 0
+        queue = [start]
+        while queue:
+            nxt = []
+            for u in queue:
+                for v in g.neighbors(u):
+                    if color[v] == -1:
+                        color[v] = 1 - color[u]
+                        nxt.append(v)
+                    elif color[v] == color[u]:
+                        return False
+            queue = nxt
+    return True
+
+
 def is_complete_bipartite_by_count(g) -> bool:
     """Oracle for ``graphs.is_complete_bipartite``: connected, 2-colourable,
     and |M| * |N| edges."""
@@ -229,7 +252,9 @@ def structure_cases(rng: random.Random, rounds: int) -> list:
     """Seeded graphs of every shape the structure code must handle: k = 1,
     and per round randomly relabelled connected bipartite, bi-block,
     odd-cycle, random (often disconnected), edgeless, star, K_{a,b} less
-    one edge, and two disjoint K_{a,b} graphs."""
+    one edge, two disjoint K_{a,b} graphs, and a bipartite component
+    holding vertex 0 beside an odd cycle, so that the only odd cycle lies
+    away from vertex 0."""
 
     def shuffled(g):
         perm = list(range(g.k))
@@ -262,4 +287,11 @@ def structure_cases(rng: random.Random, rounds: int) -> list:
         one = sorted(complete_bipartite(a, b).edges)
         two = one + [(u + a + b, v + a + b) for u, v in one]
         cases.append(shuffled(from_edge_list(2 * (a + b), two)))
+        j, c = rng.randint(1, 6), 2 * rng.randint(1, 3) + 1
+        ring = [(j + i, j + (i + 1) % c) for i in range(c)]
+        keep_0 = [0, *rng.sample(range(1, j + c), j + c - 1)]
+        cases.append(relabel(
+            from_edge_list(j + c, sorted(random_connected_bipartite(rng, j).edges) + ring),
+            keep_0,
+        ))
     return cases

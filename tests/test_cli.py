@@ -312,6 +312,19 @@ class TestVerifyTheoremCommand:
         by_alpha = {r["alpha"]: r for r in payload}
         assert abs(by_alpha[4]["max_rho"] - math.sqrt(8)) < 1e-9
 
+    def test_rho_off_the_closed_form_exits_one(self, capsys, monkeypatch):
+        from biblock import enumeration
+
+        solve = enumeration.perron_batch
+        monkeypatch.setattr(
+            enumeration, "perron_batch", lambda gs: [r + 1e-6 for r in solve(gs)]
+        )
+        code, out, err = run_cli(capsys, "verify-theorem", "--k", "6")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("verification failure:")
+        assert "differs from sqrt(alpha(k-alpha))" in err
+
     def test_deterministic_output(self, capsys):
         _, first, _ = run_cli(
             capsys, "verify-theorem", "--k", "5", "--format", "json"

@@ -16,6 +16,7 @@ from biblock import (
     enumerate_biblock,
     enumerate_class,
     extremal_verify,
+    from_edge_list,
     is_bi_block,
     is_connected,
     is_isomorphic,
@@ -24,7 +25,12 @@ from biblock import (
     verify_theorem,
 )
 from biblock import blocks, enumeration, independence
-from biblock.errors import EmptyClassError, InvalidSizeError, TooLargeError
+from biblock.errors import (
+    EmptyClassError,
+    InvalidSizeError,
+    TheoremViolationError,
+    TooLargeError,
+)
 from biblock.graphs import is_bipartite
 from conftest import enumerate_biblock_filtered, enumerate_by_attachment, outcome
 
@@ -175,6 +181,48 @@ class TestExtremalVerify:
     def test_alpha_required(self):
         with pytest.raises(InvalidSizeError):
             extremal_verify(ClassSpec(6, None))
+
+
+class TestTheoremVerdict:
+    """Each refusal of ``_verify_class`` names its offender in args[1]."""
+
+    def test_argmax_not_complete_bipartite(self):
+        p4 = from_edge_list(4, [(0, 1), (1, 2), (2, 3)])
+        with pytest.raises(TheoremViolationError, match="is not K_") as exc:
+            enumeration._verify_class(4, 2, [p4])
+        assert exc.value.args[1] is p4
+
+    def test_argmax_complete_bipartite_with_wrong_sides(self):
+        star = complete_bipartite(1, 3)
+        with pytest.raises(TheoremViolationError, match="is not K_") as exc:
+            enumeration._verify_class(4, 2, [star])
+        assert exc.value.args[1] is star
+
+    def test_rho_off_the_closed_form(self, monkeypatch):
+        solve = enumeration.perron_batch
+        monkeypatch.setattr(
+            enumeration, "perron_batch", lambda gs: [r + 1e-6 for r in solve(gs)]
+        )
+        with pytest.raises(TheoremViolationError, match="differs from sqrt") as exc:
+            extremal_verify(ClassSpec(6, 4))
+        assert is_isomorphic(exc.value.args[1], complete_bipartite(4, 2))
+
+    def test_tied_maximizers(self):
+        second = complete_bipartite(2, 2)
+        with pytest.raises(TheoremViolationError, match="not unique") as exc:
+            enumeration._verify_class(4, 2, [complete_bipartite(2, 2), second])
+        assert exc.value.args[1] is second
+
+    def test_one_canonical_form_per_class(self, monkeypatch):
+        calls = []
+
+        def counted(g):
+            calls.append(g)
+            return canonical_form(g)
+
+        monkeypatch.setattr(enumeration, "canonical_form", counted)
+        reports = verify_theorem(8)
+        assert len(calls) == len(reports)
 
 
 def test_verify_theorem_all_alphas():

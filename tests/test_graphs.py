@@ -26,9 +26,10 @@ from biblock.errors import (
     SelfLoopError,
     TooLargeError,
 )
-from biblock.graphs import _edge_diff, relabel
+from biblock.graphs import _edge_diff, induced_subgraph, is_bipartite, relabel
 from conftest import (
     bipartition_bfs,
+    is_bipartite_bfs,
     is_complete_bipartite_by_count,
     outcome,
     structure_cases,
@@ -41,6 +42,17 @@ def cycle(n):
 
 def path(n):
     return from_edge_list(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def component_of_0(g):
+    """The component holding vertex 0, as an induced subgraph."""
+    seen, stack = {0}, [0]
+    while stack:
+        for v in g.neighbors(stack.pop()):
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return induced_subgraph(g, seen)[0]
 
 
 class TestFromEdgeList:
@@ -129,6 +141,26 @@ class TestBitmaskStructure:
             assert got == outcome(bipartition_bfs, g), g
             kinds.add(got[0])
         assert kinds == {"value", DisconnectedError, OddCycleError}
+
+    def test_connected_matches_bfs_oracle(self):
+        answers = set()
+        for g in self.CASES:
+            got = is_connected(g)
+            assert got == (outcome(bipartition_bfs, g)[0] is not DisconnectedError), g
+            answers.add(got)
+        assert answers == {True, False}
+
+    def test_bipartite_matches_colour_oracle(self):
+        answers = set()
+        far_odd_cycles = 0
+        for g in self.CASES:
+            got = is_bipartite(g)
+            assert got == is_bipartite_bfs(g), g
+            answers.add(got)
+            if not got and not is_connected(g):
+                far_odd_cycles += is_bipartite_bfs(component_of_0(g))
+        assert answers == {True, False}
+        assert far_odd_cycles > 0
 
     def test_complete_bipartite_matches_count_oracle(self):
         answers = set()

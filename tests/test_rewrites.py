@@ -16,6 +16,7 @@ from biblock import (
     is_bi_block,
     is_complete_bipartite,
     is_isomorphic,
+    leaf_blocks,
     merge_blocks,
     normalize,
     perron,
@@ -44,6 +45,8 @@ from biblock.rewrites import (
     SPLIT_PARTITION,
     RewriteStep,
     _edit,
+    _index_reductions,
+    _leaf_case_step,
 )
 from conftest import edit_by_edge_list, outcome, random_biblock
 
@@ -440,6 +443,31 @@ class TestFindApplicable:
         assert swapped == sorted(swapped) and swapped[-1]
         assert all((_edit(g, s) != g) == sw for s, sw in zip(steps, swapped))
         assert all(s.kind == REATTACH for s, sw in zip(steps, swapped) if sw)
+
+    def test_standard_block_pass_gives_the_first_step(self):
+        """The graph ``bench/gen.normalize_graphs(35)[247]`` reaches after
+        two steps.  The unit-level reductions and leaf steps are empty,
+        and the first real edit, the one ``normalize`` applies, is an
+        index reduction only the standard-block pass offers; without that
+        pass the case-5 swapped reattachment at vertex 6 would apply."""
+        g = from_edge_list(17, [
+            (0, 6), (0, 10), (0, 16), (1, 12), (2, 6), (2, 14), (2, 15), (3, 4),
+            (3, 5), (4, 9), (4, 11), (4, 12), (5, 9), (5, 11), (5, 12), (6, 7),
+            (6, 13), (7, 14), (7, 15), (8, 12), (12, 14), (13, 14), (13, 15),
+        ])
+        witness = self.lex_witness(g)
+        u = unit_decomposition(g)
+        assert list(_index_reductions(u, witness)) == []
+        assert all(_leaf_case_step(g, u, h, witness) is None for h in leaf_blocks(u))
+        reduction = RewriteStep(
+            REDUCE_BLOCK_INDEX, "block-index reduction", 12, (4, 5, 14), (3, 9, 11, 12)
+        )
+        assert reduction in _index_reductions(decompose(g), witness)
+        real = [s for s in find_applicable(g, witness) if _edit(g, s) != g]
+        assert real[0] == reduction
+        assert (real[1].case, real[1].cut_vertex) == ("case 5 reattach", 6)
+        _, trace = normalize(g)
+        assert trace[0].step == reduction
 
     def test_bad_witness_rejected(self):
         g = build_two_block(2, 2, 2, 2)
