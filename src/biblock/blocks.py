@@ -214,10 +214,18 @@ def leaf_blocks(t: BlockCutTree) -> list[int]:
     return out
 
 
+def block_by_id(t: BlockCutTree, bid: int) -> Block:
+    """Piece bid of t; ids outside 0..len(t.blocks) - 1, negative ones
+    included, raise ``OutOfRangeError``."""
+    if not 0 <= bid < len(t.blocks):
+        raise OutOfRangeError(f"block id {bid} not in 0..{len(t.blocks) - 1}")
+    return t.blocks[bid]
+
+
 def leaf_neighbor(t: BlockCutTree, h_id: int) -> tuple[int, int] | None:
     """(f_id, v) when piece h_id holds exactly one cut vertex v and v lies
     in h_id and f_id only, else None."""
-    cuts = t.blocks[h_id].vertices & t.cut_vertices
+    cuts = block_by_id(t, h_id).vertices & t.cut_vertices
     if len(cuts) != 1:
         return None
     (v,) = cuts
@@ -229,7 +237,7 @@ def leaf_neighbor(t: BlockCutTree, h_id: int) -> tuple[int, int] | None:
 
 def shared_cut_vertex(t: BlockCutTree, f_id: int, h_id: int) -> int:
     """The cut vertex joining two neighboring blocks."""
-    shared = t.blocks[f_id].vertices & t.blocks[h_id].vertices
+    shared = block_by_id(t, f_id).vertices & block_by_id(t, h_id).vertices
     if len(shared) != 1:
         raise NotNeighborsError(
             f"blocks {f_id} and {h_id} do not share exactly one cut vertex"
@@ -260,7 +268,7 @@ def peel_leaf_block(g: Graph, h_id: int) -> PeelResult:
     t = decompose(g)
     if len(t.blocks) == 1:
         raise SingleBlockError("cannot peel the only block")
-    blk = t.blocks[h_id]
+    blk = block_by_id(t, h_id)
     cut_in_block = blk.vertices & t.cut_vertices
     if len(cut_in_block) != 1:
         raise NotLeafError(f"block {h_id} has {len(cut_in_block)} cut vertices")

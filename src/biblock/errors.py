@@ -109,8 +109,11 @@ class TheoremViolationError(BiblockError):
     """Extremal verification found a counterexample (must never happen).
 
     Carries the offending graph in ``args[1]`` when raised by
-    ``extremal_verify``.
+    ``extremal_verify``; its text is the message alone.
     """
+
+    def __str__(self) -> str:
+        return str(self.args[0])
 
 
 class EmptyClassError(BiblockError, ValueError):

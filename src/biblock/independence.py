@@ -3,8 +3,12 @@ dichotomy checks.
 
 Production path: Koenig's identity alpha = k - (maximum matching) on
 bipartite graphs, with the matching found by Hopcroft-Karp layered
-augmentation.  A branch-and-bound search over subsets serves as the
-independent oracle for small graphs and for witness tie-breaking.
+augmentation.  The independent oracle is one memoised branch-and-bound
+solver over vertex subsets, ``_MisSolver``, which refuses graphs above
+``BRUTE_FORCE_CAP`` vertices.  Its one lexicographic walk over the
+maximum sets gives ``alpha_bruteforce`` its witness (the first set, the
+tie-break ``normalize`` relies on) and ``maximum_independent_sets`` its
+list; ``verify_lemma_2_1`` asks the same solver three size queries.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from .errors import (
     SingleBlockError,
     TooLargeError,
 )
-from .graphs import Graph, _bits, _mask, bipartition, induced_subgraph
+from .graphs import Graph, _bits, _mask, bipartition
 
 BRUTE_FORCE_CAP = 24
 
@@ -177,9 +181,14 @@ def _is_independent(g: Graph, vertices) -> bool:
 
 
 class _MisSolver:
-    """Maximum-independent-set sizes over vertex subsets of one graph."""
+    """Maximum-independent-set sizes over vertex subsets of one graph of
+    at most ``BRUTE_FORCE_CAP`` vertices, and one walk over the maximum
+    sets of a subset."""
 
     def __init__(self, g: Graph):
+        if g.k > BRUTE_FORCE_CAP:
+            raise TooLargeError(f"brute force capped at {BRUTE_FORCE_CAP}, got k={g.k}")
+        self.full = (1 << g.k) - 1
         self.adj = g.adj
         self.closed = tuple(g.adj[v] | (1 << v) for v in range(g.k))
         self.memo: dict[int, int] = {}
@@ -225,60 +234,43 @@ class _MisSolver:
         self.memo[mask] = result
         return result
 
+    def walk(self, mask: int, size: int):
+        """Maximum independent sets of the subset ``mask``, whose maximum
+        is ``size``, as bitmasks in lexicographic order of sorted labels.
+
+        Sets holding the subset's lowest vertex v come first; when none
+        does, all lie in mask - v, so that branch needs no second size
+        query and the first set costs one size query per vertex.
+        """
+        if size == 0:
+            yield 0
+            return
+        bit = mask & -mask
+        take = mask & ~self.closed[bit.bit_length() - 1]
+        if 1 + self.size(take) == size:
+            for rest in self.walk(take, size - 1):
+                yield bit | rest
+            if self.size(mask ^ bit) < size:
+                return
+        yield from self.walk(mask ^ bit, size)
+
 
 def alpha_bruteforce(g: Graph) -> AlphaResult:
     """Exhaustive alpha with the lexicographically smallest witness.
 
     Independent of the matching path on purpose; capped at 24 vertices.
     """
-    if g.k > BRUTE_FORCE_CAP:
-        raise TooLargeError(f"brute force capped at {BRUTE_FORCE_CAP}, got k={g.k}")
     solver = _MisSolver(g)
-    full = (1 << g.k) - 1
-    alpha = solver.size(full)
-    chosen: list[int] = []
-    remaining = full
-    for v in range(g.k):
-        if not remaining >> v & 1:
-            continue
-        rest = remaining & ~solver.closed[v]
-        if len(chosen) + 1 + solver.size(rest) == alpha:
-            chosen.append(v)
-            remaining = rest
-        else:
-            remaining &= ~(1 << v)
-    assert len(chosen) == alpha
-    return AlphaResult(alpha, frozenset(chosen))
+    alpha = solver.size(solver.full)
+    first = next(solver.walk(solver.full, alpha))
+    return AlphaResult(alpha, frozenset(_bits(first)))
 
 
 def maximum_independent_sets(g: Graph) -> list[frozenset[int]]:
     """All maximum independent sets, in lexicographic order of sorted labels."""
-    if g.k > BRUTE_FORCE_CAP:
-        raise TooLargeError(f"brute force capped at {BRUTE_FORCE_CAP}, got k={g.k}")
     solver = _MisSolver(g)
-    full = (1 << g.k) - 1
-    alpha = solver.size(full)
-    out: list[frozenset[int]] = []
-
-    def rec(mask: int, chosen: list[int]) -> None:
-        if len(chosen) == alpha:
-            out.append(frozenset(chosen))
-            return
-        if mask == 0:
-            return
-        bit = mask & -mask
-        v = bit.bit_length() - 1
-        take = mask & ~solver.closed[v]
-        if len(chosen) + 1 + solver.size(take) == alpha:
-            chosen.append(v)
-            rec(take, chosen)
-            chosen.pop()
-        skip = mask ^ bit
-        if len(chosen) + solver.size(skip) == alpha:
-            rec(skip, chosen)
-
-    rec(full, [])
-    return out
+    alpha = solver.size(solver.full)
+    return [frozenset(_bits(s)) for s in solver.walk(solver.full, alpha)]
 
 
 # ---------------------------------------------------------------------------
@@ -378,15 +370,16 @@ def verify_lemma_2_1(g: Graph, v: int) -> VertexRemovalReport:
 
     When some maximum set contains v and the maximum sets of G-v are not
     maximum in G, removing v must cost exactly one vertex.  Reports
-    "not applicable" when the hypotheses fail.
+    "not applicable" when the hypotheses fail.  Some maximum set holds v
+    exactly when 1 + alpha(G - N[v]) = alpha(G).
     """
     g._check_vertex(v)
-    alpha_g = alpha_bruteforce(g).alpha
-    v_in_some = any(v in s for s in maximum_independent_sets(g))
+    solver = _MisSolver(g)
+    alpha_g = solver.size(solver.full)
+    v_in_some = 1 + solver.size(solver.full & ~solver.closed[v]) == alpha_g
     if g.k == 1:
         return VertexRemovalReport(False, None, alpha_g, 0, v_in_some)
-    without, _ = induced_subgraph(g, set(range(g.k)) - {v})
-    alpha_without = alpha_bruteforce(without).alpha
+    alpha_without = solver.size(solver.full ^ (1 << v))
     applicable = v_in_some and alpha_without < alpha_g
     holds = (alpha_g == alpha_without + 1) if applicable else None
     return VertexRemovalReport(applicable, holds, alpha_g, alpha_without, v_in_some)

@@ -19,7 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .blocks import Block, BlockCutTree, _tree, decompose, leaf_blocks, leaf_neighbor
+from .blocks import (
+    Block, BlockCutTree, _tree, block_by_id, decompose, leaf_blocks, leaf_neighbor
+)
 from .errors import (
     BadSplitError,
     BlockIndexTooSmallError,
@@ -255,11 +257,10 @@ def _split_step(f: Block, h: Block, v: int, n1, case: str) -> RewriteStep:
 
 
 def _block_unit(t: BlockCutTree, bid: int) -> Block:
-    if not 0 <= bid < len(t.blocks):
-        raise OutOfRangeError(f"block id {bid} not in 0..{len(t.blocks) - 1}")
-    if t.blocks[bid].parts is None:
+    blk = block_by_id(t, bid)
+    if blk.parts is None:
         raise NotBiBlockError(f"block {bid} is not complete bipartite")
-    return t.blocks[bid]
+    return blk
 
 
 def _unit_of_block(u: BlockCutTree, blk: Block) -> Block:

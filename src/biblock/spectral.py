@@ -9,8 +9,9 @@ paths the true entries decay below 1e-17 and even underflow, and there
 the solver returns zeros or tiny values of either sign.  The pair is
 checked rather than trusted: every entry must be positive and the
 residual must meet ``DEFAULT_TOL`` relative to rho + 1.  ``perron_batch``
-solves many graphs of one size by stacking their matrices into one
-``eigh`` call per chunk, under the same arithmetic and checks.
+solves graphs of one size by stacking their matrices into one ``eigh``
+call per chunk; ``perron`` is a batch of one, so a lone graph gets the
+same arithmetic, checks and bits.
 """
 
 from __future__ import annotations
@@ -76,9 +77,12 @@ def _checked_pairs(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     (n, k) array, not a view of the solver's eigenvector stack), and its
     Rayleigh quotient is rho.  Every X must be positive and meet
     ``max|(A + I)X - (rho + 1)X| <= DEFAULT_TOL * (rho + 1)``; the first
-    matrix that does not raises ``NoConvergenceError``.  The products
-    are batched matrix-vector and vector-vector ones, so a stack of one
-    gives the same bits as the same arithmetic on a lone matrix.
+    matrix that does not raises ``NoConvergenceError``.  The +1 shift
+    leaves the residual vector as it is; it keeps the bound relative to
+    rho + 1, the tolerance this module and its tests are stated against.
+    The products are batched matrix-vector and vector-vector ones, so a
+    stack of one gives the same bits as the same arithmetic on a lone
+    matrix.
     """
     x = np.maximum(np.abs(np.linalg.eigh(a)[1][:, :, -1]), np.finfo(float).tiny)
     y = np.matmul(a, x[:, :, None])[:, :, 0] + x
@@ -97,26 +101,13 @@ def _checked_pairs(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def perron(g: Graph) -> PerronPair:
-    """Dominant eigenpair of the adjacency matrix of a connected graph.
-
-    One ``numpy.linalg.eigh`` call on the dense adjacency gives
-    the top eigenvector; its absolute value, floored at
-    ``np.finfo(float).tiny``, is X and its Rayleigh quotient is rho.
-    ``NoConvergenceError`` is raised unless every entry of X is positive
-    and ``max|(A + I)X - (rho + 1)X| <= DEFAULT_TOL * (rho + 1)``.  The
-    +1 shift leaves the residual vector as it is; it keeps the bound
-    relative to rho + 1, the tolerance the rest of this module and its
-    tests are stated against.  The pair, not the matrix, is cached on
-    the graph, so each graph is solved once and keeps no k x k array.
-    """
-    if g._perron is not None:
-        return g._perron
-    if g.k < 2:
-        raise InvalidSizeError("perron needs k >= 2")
-    if not is_connected(g):
-        raise DisconnectedError("perron requires a connected graph")
-    rho, x = _checked_pairs(_adjacency_stack([g], g.k))
-    g._perron = PerronPair(float(rho[0]), x[0])
+    """Dominant eigenpair of the adjacency matrix of a connected graph:
+    a batch of one, solved and checked by ``perron_batch`` and cached on
+    the graph, so each graph is solved once and keeps no k x k array."""
+    if g._perron is None:
+        if not is_connected(g):
+            raise DisconnectedError("perron requires a connected graph")
+        perron_batch([g])
     return g._perron
 
 
@@ -126,7 +117,7 @@ def perron_batch(graphs) -> list[float]:
     ``perron`` would cache it.
 
     The graphs without a cached pair are solved ``BATCH_CHUNK`` at a
-    time, one ``eigh`` call per chunk, under ``perron``'s checks, so
+    time, one ``eigh`` call per chunk checked by ``_checked_pairs``, so
     memory stays flat however many graphs are given.  Connectivity is
     the caller's to vouch for and is not checked here: enumeration
     asserts it as it builds each graph.

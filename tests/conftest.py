@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -223,6 +224,21 @@ def is_complete_bipartite_by_count(g) -> bool:
     except OddCycleError:
         return False
     return g.edge_count == len(bp.M) * len(bp.N)
+
+
+def maximum_sets_by_combinations(g) -> list:
+    """Oracle for ``independence._MisSolver.walk``: every independent
+    vertex set of the largest size that has one, tried with
+    ``itertools.combinations`` from size k down, so the sets come in
+    lexicographic order of their sorted labels."""
+    for size in range(g.k, -1, -1):
+        found = [
+            frozenset(c)
+            for c in combinations(range(g.k), size)
+            if all(not g.adj[u] >> w & 1 for u, w in combinations(c, 2))
+        ]
+        if found:
+            return found
 
 
 def edit_by_edge_list(g, step):

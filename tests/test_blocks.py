@@ -3,7 +3,9 @@ import random
 import pytest
 
 from biblock import (
+    alpha_matching,
     block_index,
+    classify_leaf,
     complete_bipartite,
     decompose,
     from_edge_list,
@@ -235,6 +237,23 @@ class TestBlockQueries:
         for v in (-1, 5):
             with pytest.raises(OutOfRangeError):
                 block_index(t, v)
+
+    def test_block_ids_out_of_range_rejected(self, fig1):
+        t = decompose(fig1)
+        n = len(t.blocks)
+        witness = alpha_matching(fig1).witness
+        for bid in (-1, n):
+            message = rf"^block id {bid} not in 0\.\.{n - 1}$"
+            calls = [
+                lambda: leaf_neighbor(t, bid),
+                lambda: peel_leaf_block(fig1, bid),
+                lambda: classify_leaf(fig1, bid, witness),
+                lambda: neighbor_union(fig1, 0, bid),
+                lambda: neighbor_union(fig1, bid, 0),
+            ]
+            for call in calls:
+                with pytest.raises(OutOfRangeError, match=message):
+                    call()
 
     def test_p4_leaf_blocks(self):
         t = decompose(path(4))

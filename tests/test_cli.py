@@ -5,6 +5,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -322,8 +323,12 @@ class TestVerifyTheoremCommand:
         code, out, err = run_cli(capsys, "verify-theorem", "--k", "6")
         assert code == 1
         assert out == ""
-        assert err.startswith("verification failure:")
-        assert "differs from sqrt(alpha(k-alpha))" in err
+        assert re.fullmatch(
+            r"verification failure: max rho \S+ differs from "
+            r"sqrt\(alpha\(k-alpha\)\) = 3\.0\n",
+            err,
+        )
+        assert "Graph(" not in err
 
     def test_deterministic_output(self, capsys):
         _, first, _ = run_cli(

@@ -21,12 +21,18 @@ from biblock.errors import (
     OddCycleError,
     TooLargeError,
 )
+from biblock.graphs import induced_subgraph
 from biblock.independence import (
     CUT_IN_SET,
     CUT_OUT_RESTRICTION_MAXIMAL,
     CUT_OUT_RESTRICTION_NOT_MAXIMAL,
+    VertexRemovalReport,
 )
-from conftest import random_biblock, random_connected_bipartite
+from conftest import (
+    maximum_sets_by_combinations,
+    random_biblock,
+    random_connected_bipartite,
+)
 
 
 def path(n):
@@ -35,6 +41,15 @@ def path(n):
 
 def cycle(n):
     return from_edge_list(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+@pytest.fixture(scope="module")
+def oracle_graphs(biblock_by_k):
+    """Seeded connected bipartite graphs on 1..12 vertices, and all of
+    B(k) for k <= 8."""
+    rng = random.Random(13)
+    graphs = [random_connected_bipartite(rng, k) for k in range(1, 13) for _ in range(8)]
+    return graphs + [g for k in range(2, 9) for g in biblock_by_k[k]]
 
 
 def double_star():
@@ -131,6 +146,19 @@ class TestMaximumIndependentSets:
 
     def test_p3(self):
         assert maximum_independent_sets(path(3)) == [frozenset({0, 2})]
+
+    def test_walk_matches_combinations_oracle(self, oracle_graphs):
+        for g in oracle_graphs:
+            sets = maximum_sets_by_combinations(g)
+            assert maximum_independent_sets(g) == sets
+            res = alpha_bruteforce(g)
+            assert (res.alpha, res.witness) == (len(sets[0]), sets[0])
+
+    def test_too_large(self):
+        g = from_edge_list(25, [(0, 1)])
+        for fn in (maximum_independent_sets, lambda g: verify_lemma_2_1(g, 0)):
+            with pytest.raises(TooLargeError, match="brute force capped at 24, got k=25"):
+                fn(g)
 
 
 class TestClassifyLeaf:
@@ -239,6 +267,26 @@ class TestLemma21:
         rep = verify_lemma_2_1(g, 1)
         assert rep.applicable and rep.holds
         assert rep.alpha_g == 3 and rep.alpha_without_v == 2
+
+    def test_matches_listing_oracle(self, oracle_graphs):
+        """The report from the definitions: v_in_some_maximum from the
+        listed maximum sets, alpha(G - v) from the induced subgraph."""
+        for g in oracle_graphs:
+            sets = maximum_sets_by_combinations(g)
+            alpha_g = len(sets[0])
+            for v in range(g.k):
+                v_in_some = any(v in s for s in sets)
+                if g.k == 1:
+                    expected = VertexRemovalReport(False, None, alpha_g, 0, v_in_some)
+                else:
+                    without, _ = induced_subgraph(g, set(range(g.k)) - {v})
+                    alpha_without = len(maximum_sets_by_combinations(without)[0])
+                    applicable = v_in_some and alpha_without < alpha_g
+                    holds = alpha_g == alpha_without + 1 if applicable else None
+                    expected = VertexRemovalReport(
+                        applicable, holds, alpha_g, alpha_without, v_in_some
+                    )
+                assert verify_lemma_2_1(g, v) == expected
 
     def test_random_biblock_sweep(self):
         rng = random.Random(11)
