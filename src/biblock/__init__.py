@@ -62,7 +62,6 @@ from .rewrites import (
 )
 from .spectral import (
     LeafConfig,
-    LeafEigenData,
     PerronPair,
     TwoBlockEigenData,
     TwoBlockLabeling,
@@ -72,8 +71,6 @@ from .spectral import (
     degree_bounds,
     edge_monotonicity_check,
     extract_two_block_data,
-    find_leaf_configs,
-    leaf_eigen_data,
     perron,
     perron_batch,
     quad_form_delta,

@@ -139,8 +139,7 @@ def _identity_payload(g: graphs.Graph) -> dict:
             "residuals": {k: _fmt(v) for k, v in sorted(res.items())},
         }
     leaf_reports = []
-    for config in spectral.find_leaf_configs(g):
-        res = spectral.check_identities_J(g, config)
+    for config, res in spectral.check_identities_J(g):
         residuals.extend(res.values())
         leaf_reports.append(
             {
@@ -246,9 +245,12 @@ def _cmd_normalize(args) -> int:
     else:
         for o in trace:
             print(o.trace)
+        rho = (
+            f"{payload['rho_initial']} -> {payload['rho_final']}" if g.k >= 2 else "- -> -"
+        )
         print(
             f"normalized to K_{{{alpha},{g.k - alpha}}} in {len(trace)} steps; "
-            f"rho {payload['rho_initial']} -> {payload['rho_final']}"
+            f"rho {rho}"
         )
     return EXIT_OK
 

@@ -73,10 +73,6 @@ class NotConstantWithinClassError(BiblockError):
     """Eigenvector entries that must agree within a vertex class do not."""
 
 
-class NoSuchConfigurationError(BiblockError):
-    """No leaf configuration with the requested properties exists."""
-
-
 class PreconditionFailedError(BiblockError):
     """A rewrite's case hypotheses do not hold for the given selection."""
 

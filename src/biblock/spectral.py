@@ -12,6 +12,12 @@ residual must meet ``DEFAULT_TOL`` relative to rho + 1.  ``perron_batch``
 solves graphs of one size by stacking their matrices into one ``eigh``
 call per chunk; ``perron`` is a batch of one, so a lone graph gets the
 same arithmetic, checks and bits.
+
+``check_identities_J`` checks the leaf-block identities in one pass over
+the block-cut tree: each complete bipartite leaf block H with a complete
+bipartite neighbour F is read once (the sum over P, b_n, x_v and b_m),
+and the residuals of each non-cut witness c on F's side through v follow
+from those values and x_c.
 """
 
 from __future__ import annotations
@@ -21,13 +27,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import BlockCutTree, decompose, leaf_neighbor
+from .blocks import decompose, leaf_neighbor
 from .errors import (
     BiblockError,
     DisconnectedError,
     InvalidSizeError,
     NoConvergenceError,
-    NoSuchConfigurationError,
     NotConstantWithinClassError,
     SizeMismatchError,
     ZeroVectorError,
@@ -49,7 +54,6 @@ class PerronPair:
 
     rho: float
     X: np.ndarray
-    normalization: str = "unit-2-norm"
 
 
 def _adjacency_stack(graphs, k: int) -> np.ndarray:
@@ -396,95 +400,54 @@ class LeafConfig:
     c: int
 
 
-@dataclass(frozen=True)
-class LeafEigenData:
-    b_m: float
-    b_n: float
-    x_v: float
-    x_c: float
+def check_identities_J(g: Graph) -> list[tuple[LeafConfig, dict[str, float]]]:
+    """Residuals of the leaf-block identities J1-J4, J3*, and the split
+    x_v = x_c + b_m on every leaf configuration of g, in block id order,
+    then c.
 
-
-def find_leaf_configs(g: Graph) -> list[LeafConfig]:
-    """All valid (leaf block, neighbor, witness vertex) configurations.
-
-    Valid means: H is a leaf block whose cut vertex v lies in exactly
-    two blocks, and F's side through v has a non-cut vertex c besides v.
+    A configuration is a complete bipartite leaf block H whose cut vertex
+    v lies in H and one complete bipartite block F only, with a non-cut
+    vertex c != v on F's side through v.  When M - v is empty, b_m is
+    taken from the split x_v - x_c for each c.
     """
     t = decompose(g)
-    configs = []
-    for h_id, blk in enumerate(t.blocks):
+    pair = perron(g)
+    x = pair.X
+    rho = pair.rho
+    results = []
+    for h_id, hblk in enumerate(t.blocks):
         found = leaf_neighbor(t, h_id)
-        if found is None or not blk.is_complete_bipartite:
+        if found is None or not hblk.is_complete_bipartite:
             continue
         f_id, v = found
         fblk = t.blocks[f_id]
         if not fblk.is_complete_bipartite:
             continue
-        q_side = fblk.side_of(v)
-        for c in sorted(q_side - {v}):
-            if c not in t.cut_vertices:
-                configs.append(LeafConfig(h_id, f_id, v, c))
-    return configs
-
-
-def leaf_eigen_data(g: Graph, config: LeafConfig) -> LeafEigenData:
-    """Constant eigenvector values on a leaf block (b_m via the
-    x_v = x_c + b_m split when the cut side is a singleton)."""
-    t = decompose(g)
-    _validate_leaf_config(t, config)
-    x = perron(g).X
-    hblk = t.blocks[config.h_id]
-    m_side = hblk.side_of(config.v)
-    n_side = hblk.other_side(config.v)
-    b_n = _class_value(x, sorted(n_side), "N")
-    x_v = float(x[config.v])
-    x_c = float(x[config.c])
-    rest = sorted(m_side - {config.v})
-    if rest:
-        b_m = _class_value(x, rest, "M-v")
-    else:
-        b_m = x_v - x_c
-    return LeafEigenData(b_m, b_n, x_v, x_c)
-
-
-def _validate_leaf_config(t: BlockCutTree, config: LeafConfig) -> None:
-    if not (0 <= config.h_id < len(t.blocks) and 0 <= config.f_id < len(t.blocks)):
-        raise NoSuchConfigurationError("block id out of range")
-    hblk = t.blocks[config.h_id]
-    fblk = t.blocks[config.f_id]
-    if hblk.vertices & t.cut_vertices != {config.v}:
-        raise NoSuchConfigurationError("H is not a leaf block at v")
-    if leaf_neighbor(t, config.h_id) != (config.f_id, config.v):
-        raise NoSuchConfigurationError("v must lie in exactly the blocks H and F")
-    if not (hblk.is_complete_bipartite and fblk.is_complete_bipartite):
-        raise NoSuchConfigurationError("blocks must be complete bipartite")
-    if config.c == config.v or config.c not in fblk.side_of(config.v):
-        raise NoSuchConfigurationError("c must lie in F's side through v")
-    if config.c in t.cut_vertices:
-        raise NoSuchConfigurationError("c must not be a cut vertex")
-
-
-def check_identities_J(g: Graph, config: LeafConfig) -> dict[str, float]:
-    """Residuals of the leaf-block identities J1-J4, J3*, and the split
-    x_v = x_c + b_m."""
-    data = leaf_eigen_data(g, config)
-    t = decompose(g)
-    pair = perron(g)
-    x = pair.X
-    rho = pair.rho
-    fblk = t.blocks[config.f_id]
-    p_side = sorted(fblk.other_side(config.v))
-    hblk = t.blocks[config.h_id]
-    m = len(hblk.side_of(config.v))
-    n = len(hblk.other_side(config.v))
-    sum_p = float(np.sum(x[p_side]))
-    b_m, b_n, x_v, x_c = data.b_m, data.b_n, data.x_v, data.x_c
-    res = {
-        "J1": rho * x_c - sum_p,
-        "J2": rho * x_v - (sum_p + n * b_n),
-        "J3": rho * b_n - ((m - 1) * b_m + x_v),
-        "J4": rho * b_m - n * b_n,
-        "J3*": rho * b_n - (m * b_m + x_c),
-        "xv-split": x_v - (x_c + b_m),
-    }
-    return {key: abs(val) for key, val in res.items()}
+        witnesses = [c for c in sorted(fblk.side_of(v) - {v}) if c not in t.cut_vertices]
+        if not witnesses:
+            continue
+        m_side = hblk.side_of(v)
+        n_side = hblk.other_side(v)
+        m, n = len(m_side), len(n_side)
+        b_n = _class_value(x, sorted(n_side), "N")
+        x_v = float(x[v])
+        rest = sorted(m_side - {v})
+        if rest:
+            b_m = _class_value(x, rest, "M-v")
+        sum_p = float(np.sum(x[sorted(fblk.other_side(v))]))
+        for c in witnesses:
+            x_c = float(x[c])
+            if not rest:
+                b_m = x_v - x_c
+            res = {
+                "J1": rho * x_c - sum_p,
+                "J2": rho * x_v - (sum_p + n * b_n),
+                "J3": rho * b_n - ((m - 1) * b_m + x_v),
+                "J4": rho * b_m - n * b_n,
+                "J3*": rho * b_n - (m * b_m + x_c),
+                "xv-split": x_v - (x_c + b_m),
+            }
+            results.append(
+                (LeafConfig(h_id, f_id, v, c), {key: abs(val) for key, val in res.items()})
+            )
+    return results

@@ -25,7 +25,6 @@ from biblock import (
     edge_monotonicity_check,
     extract_two_block_data,
     find_applicable,
-    find_leaf_configs,
     is_isomorphic,
     normalize,
     perron,
@@ -79,11 +78,7 @@ def test_criterion_2_identity_suite(biblock_by_k):
     configs_seen = 0
     for k in range(2, 9):
         for g in biblock_by_k[k]:
-            configs = find_leaf_configs(g)
-            if not configs:
-                continue
-            for config in configs:
-                res = check_identities_J(g, config)
+            for _, res in check_identities_J(g):
                 worst_j = max(worst_j, max(res.values()))
                 configs_seen += 1
     assert configs_seen > 0

@@ -242,6 +242,19 @@ class TestNormalizeCommand:
         assert deltas
         assert all(d == round(d, 12) for d in deltas)
 
+    def test_one_vertex_has_no_rho(self, capsys, monkeypatch):
+        # A single vertex has no Perron pair: text writes "-" for each
+        # missing rho, JSON writes null.
+        monkeypatch.setattr(sys, "stdin", io.StringIO("1\n"))
+        code, out, err = run_cli(capsys, "normalize")
+        assert (code, err) == (0, "")
+        assert out == "normalized to K_{1,0} in 0 steps; rho - -> -\n"
+        monkeypatch.setattr(sys, "stdin", io.StringIO("1\n"))
+        code, out, _ = run_cli(capsys, "normalize", "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["rho_initial"], payload["rho_final"]) == (None, None)
+
 
 class TestEnumerateCommand:
     def test_text_round_trip(self, capsys):

@@ -15,11 +15,9 @@ from biblock import (
     degree_bounds,
     edge_monotonicity_check,
     extract_two_block_data,
-    find_leaf_configs,
     from_edge_list,
     is_bi_block,
     is_isomorphic,
-    leaf_eigen_data,
     perron,
     perron_batch,
     quad_form_delta,
@@ -31,7 +29,6 @@ from biblock.errors import (
     DisconnectedError,
     InvalidSizeError,
     NoConvergenceError,
-    NoSuchConfigurationError,
     NotConstantWithinClassError,
     SizeMismatchError,
     ZeroVectorError,
@@ -39,6 +36,7 @@ from biblock.errors import (
 from biblock.spectral import (
     CLASS_TOL,
     DEFAULT_TOL,
+    LeafConfig,
     PerronPair,
     dense_adjacency,
     two_block_data_from_graph,
@@ -66,7 +64,6 @@ class TestPerron:
         pair = perron(build_two_block(2, 3, 2, 4))
         assert np.all(pair.X > 0)
         assert abs(np.linalg.norm(pair.X) - 1.0) < 1e-12
-        assert pair.normalization == "unit-2-norm"
 
     def test_residual_contract(self):
         g = build_two_block(3, 2, 2, 5)
@@ -332,11 +329,24 @@ class TestIdentitiesI:
 
 class TestIdentitiesJ:
     def test_two_block_2222(self):
-        g = build_two_block(2, 2, 2, 2)
-        configs = find_leaf_configs(g)
-        assert configs
-        for config in configs:
-            res = check_identities_J(g, config)
+        results = check_identities_J(build_two_block(2, 2, 2, 2))
+        assert [config for config, _ in results] == [
+            LeafConfig(0, 1, 3, 4),
+            LeafConfig(1, 0, 3, 2),
+        ]
+        for _, res in results:
+            assert max(res.values()) < 1e-9
+
+    def test_fig1(self, fig1):
+        # The K_{4,3} (block 6) and the K_{2,3} (block 7) hang off the
+        # K_{3,3} core; the five pendant edges at vertex 1 share their cut
+        # vertex, so none of them is a leaf configuration.
+        results = check_identities_J(fig1)
+        assert [config for config, _ in results] == [
+            LeafConfig(6, 0, 4, 3),
+            LeafConfig(7, 0, 5, 3),
+        ]
+        for _, res in results:
             assert max(res.values()) < 1e-9
 
     def test_three_block_chain(self):
@@ -347,10 +357,12 @@ class TestIdentitiesJ:
             [(0, 2), (0, 3), (1, 2), (1, 3), (3, 4), (3, 5), (6, 4), (6, 5),
              (4, 8), (4, 9), (7, 8), (7, 9)],
         )
-        configs = find_leaf_configs(g)
-        assert configs
-        for config in configs:
-            res = check_identities_J(g, config)
+        results = check_identities_J(g)
+        assert [config for config, _ in results] == [
+            LeafConfig(0, 1, 3, 6),
+            LeafConfig(2, 1, 4, 5),
+        ]
+        for _, res in results:
             assert max(res.values()) < 1e-9
 
     def test_all_cut_side_has_no_config(self):
@@ -361,7 +373,7 @@ class TestIdentitiesJ:
             [(0, 2), (0, 3), (1, 2), (1, 3), (3, 4), (3, 5), (6, 4), (6, 5),
              (6, 8), (6, 9), (7, 8), (7, 9)],
         )
-        assert find_leaf_configs(g) == []
+        assert check_identities_J(g) == []
 
     def test_pendant_leaf_uses_split_convention(self):
         # H is a pendant edge: b_m is defined through x_v - x_c, and
@@ -370,32 +382,15 @@ class TestIdentitiesJ:
             from_edge_list(6, [(u, v) for u in (0, 1) for v in (2, 3, 4)]),
             0, 5,
         )
-        configs = [c for c in find_leaf_configs(g)]
-        assert configs
-        for config in configs:
-            data = leaf_eigen_data(g, config)
-            res = check_identities_J(g, config)
+        results = check_identities_J(g)
+        assert [config for config, _ in results] == [LeafConfig(1, 0, 0, 1)]
+        for _, res in results:
             assert max(res.values()) < 1e-9
-            assert abs(data.x_v - data.x_c - data.b_m) < 1e-9
+            assert res["xv-split"] < 1e-9
 
     def test_no_configuration_when_q_all_cut(self):
         # Chain of three pendant edges: middle block's far side is all cut.
-        g = path(4)
-        t = decompose(g)
-        mid = next(i for i, b in enumerate(t.blocks) if b.vertices == {1, 2})
-        end = next(i for i, b in enumerate(t.blocks) if b.vertices == {0, 1})
-        from biblock.spectral import LeafConfig
-
-        with pytest.raises(NoSuchConfigurationError):
-            check_identities_J(g, LeafConfig(h_id=end, f_id=mid, v=1, c=2))
-
-    @pytest.mark.parametrize("h_id, f_id", [(-1, 1), (2, -2), (3, 1), (2, 3)])
-    def test_block_ids_out_of_range_are_refused(self, h_id, f_id):
-        # P4's blocks are {0,1}, {1,2}, {2,3}; -1 would name {2,3}.
-        from biblock.spectral import LeafConfig
-
-        with pytest.raises(NoSuchConfigurationError, match="out of range"):
-            leaf_eigen_data(path(4), LeafConfig(h_id=h_id, f_id=f_id, v=2, c=1))
+        assert check_identities_J(path(4)) == []
 
 
 class TestDegreeBounds:
