@@ -11,7 +11,9 @@ checked rather than trusted: every entry must be positive and the
 residual must meet ``DEFAULT_TOL`` relative to rho + 1.  ``perron_batch``
 solves graphs of one size by stacking their matrices into one ``eigh``
 call per chunk; ``perron`` is a batch of one, so a lone graph gets the
-same arithmetic, checks and bits.
+same arithmetic, checks and bits.  numpy is imported by the functions
+that build or read arrays, at the first Perron solve, not with the
+module, so the commands that never solve load none of it.
 
 ``check_identities_J`` checks the leaf-block identities in one pass over
 the block-cut tree: each complete bipartite leaf block H with a complete
@@ -24,8 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .blocks import decompose, leaf_neighbor
 from .errors import (
@@ -59,6 +59,8 @@ class PerronPair:
 def _adjacency_stack(graphs, k: int) -> np.ndarray:
     """Dense 0/1 adjacency matrices of graphs on k vertices, stacked into
     an (n, k, k) array, unpacked afresh from the bit rows."""
+    import numpy as np
+
     width = (k + 7) // 8
     rows = np.frombuffer(
         b"".join(m.to_bytes(width, "little") for g in graphs for m in g.adj),
@@ -88,6 +90,8 @@ def _checked_pairs(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     stack of one gives the same bits as the same arithmetic on a lone
     matrix.
     """
+    import numpy as np
+
     x = np.maximum(np.abs(np.linalg.eigh(a)[1][:, :, -1]), np.finfo(float).tiny)
     y = np.matmul(a, x[:, :, None])[:, :, 0] + x
     lam = np.matmul(x[:, None, :], y[:, :, None])[:, 0, 0]
@@ -142,6 +146,8 @@ def perron_batch(graphs) -> list[float]:
 
 def rayleigh(g: Graph, x) -> float:
     """Rayleigh quotient (2 sum over edges of x_u x_w) / sum of squares."""
+    import numpy as np
+
     x = np.asarray(x, dtype=float)
     if x.shape != (g.k,):
         raise SizeMismatchError(f"vector length {x.shape} vs k={g.k}")
@@ -166,6 +172,8 @@ def quad_form_delta(g: Graph, g_star: Graph, x) -> float:
     """(1/2) X^t (A* - A) X, summed over the edges the two graphs differ in."""
     if g.k != g_star.k:
         raise SizeMismatchError(f"vertex counts differ: {g.k} vs {g_star.k}")
+    import numpy as np
+
     x = np.asarray(x, dtype=float)
     if x.shape != (g.k,):
         raise SizeMismatchError(f"vector length {x.shape} vs k={g.k}")
@@ -284,12 +292,12 @@ class TwoBlockEigenData:
 
 def _class_value(x: np.ndarray, idx, label: str) -> float:
     vals = x[list(idx)]
-    spread = float(np.max(vals) - np.min(vals))
+    spread = float(vals.max() - vals.min())
     if spread > CLASS_TOL:
         raise NotConstantWithinClassError(
             f"entries of class {label} spread by {spread:.3e} (> {CLASS_TOL:.1e})"
         )
-    return float(np.mean(vals))
+    return float(vals.mean())
 
 
 def _two_block_data(
@@ -434,7 +442,7 @@ def check_identities_J(g: Graph) -> list[tuple[LeafConfig, dict[str, float]]]:
         rest = sorted(m_side - {v})
         if rest:
             b_m = _class_value(x, rest, "M-v")
-        sum_p = float(np.sum(x[sorted(fblk.other_side(v))]))
+        sum_p = float(x[sorted(fblk.other_side(v))].sum())
         for c in witnesses:
             x_c = float(x[c])
             if not rest:

@@ -414,6 +414,52 @@ class TestVerifyTheoremBytes:
         assert "verification failure: Perron pair failed its checks" in err
 
 
+IMPORT_BOUNDARY = """
+import contextlib, io, json, sys
+from biblock import cli
+
+def run(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(list(argv))
+    return code, out.getvalue(), "numpy" in sys.modules
+
+fig1 = sys.argv[1]
+report = {
+    "import": "numpy" in sys.modules,
+    "validate": run("validate", "--input", fig1),
+    "decompose": run("decompose", "--input", fig1),
+    "alpha": run("alpha", "--witness", "--input", fig1),
+    "enumerate": run("enumerate", "--k", "6"),
+    "rho": run("rho", "--input", fig1),
+}
+print(json.dumps(report))
+"""
+
+
+class TestImportBoundary:
+    def test_numpy_loads_at_the_first_perron_solve(self):
+        """In a fresh interpreter, importing the CLI and running the four
+        subcommands that solve nothing loads no numpy; ``rho`` then loads
+        it and prints as before."""
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run(
+            [sys.executable, "-c", IMPORT_BOUNDARY, FIG1],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        assert report.pop("import") is False
+        rho_code, rho_out, rho_numpy = report.pop("rho")
+        for name, (code, out, numpy_loaded) in report.items():
+            assert code == 0, name
+            assert out, name
+            assert numpy_loaded is False, name
+        assert rho_code == 0
+        assert rho_out == "rho=3.86150990954\n"
+        assert rho_numpy is True
+
+
 class TestExitCodes:
     def test_missing_file_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "alpha", "--input", "/nonexistent.edges")
