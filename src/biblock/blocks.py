@@ -181,16 +181,11 @@ def decompose(g: Graph) -> BlockCutTree:
 def is_bi_block(g: Graph) -> bool:
     """True iff g is connected and every block is complete bipartite.
 
-    Reads the same blocks as ``decompose`` but builds and caches no
-    block-cut tree, for callers that never read a tree afterwards:
-    ``validate`` and the tests, which check it on every graph of B(k),
-    k <= 12.  Enumeration does not call it: each build asserts the
-    labels, edge count and connectivity its code states instead.  The
-    rewrite system checks bi-block-ness through ``decompose``, because
-    the next ``find_applicable`` reads the cached tree of every graph
-    it checks.
+    Reads the blocks through ``decompose``, so the block-cut tree stays
+    cached on g: the rewrite system checks each graph it reaches here and
+    its next ``find_applicable`` reads that tree without a second DFS.
     """
-    return is_connected(g) and all(blk.parts is not None for blk in _blocks(g))
+    return is_connected(g) and all(b.parts is not None for b in decompose(g).blocks)
 
 
 def block_index(t: BlockCutTree, v: int) -> int:

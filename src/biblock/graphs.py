@@ -63,8 +63,8 @@ class Graph:
     def neighbors(self, u: int) -> tuple[int, ...]:
         """Neighbours of u in ascending order, after a range check on u.
 
-        Public convenience only: the hot loops (the lowpoint DFS,
-        Hopcroft-Karp, the 2-colouring) read ``adj[u]`` bits directly
+        Public convenience only: the hot loops (the lowpoint DFS, the
+        bit-row matching, the 2-colouring) read ``adj[u]`` bits directly
         and never pay for the check or the tuple.
         """
         self._check_vertex(u)

@@ -2,18 +2,18 @@
 dichotomy checks.
 
 Production path: Koenig's identity alpha = k - (maximum matching) on
-bipartite graphs, with the matching found by Hopcroft-Karp layered
-augmentation.  The independent oracle is one memoised branch-and-bound
-solver over vertex subsets, ``_MisSolver``, which refuses graphs above
-``BRUTE_FORCE_CAP`` vertices.  Its one lexicographic walk over the
-maximum sets gives ``alpha_bruteforce`` its witness (the first set, the
-tie-break ``normalize`` relies on) and ``maximum_independent_sets`` its
-list; ``verify_lemma_2_1`` asks the same solver three size queries.
+bipartite graphs, with the matching found by one bitmask augmenting-path
+search per left vertex.  The independent oracle is one memoised
+branch-and-bound solver over vertex subsets, ``_MisSolver``, which
+refuses graphs above ``BRUTE_FORCE_CAP`` vertices.  Its one
+lexicographic walk over the maximum sets gives ``alpha_bruteforce`` its
+witness (the first set, the tie-break ``normalize`` relies on) and
+``maximum_independent_sets`` its list; ``verify_lemma_2_1`` asks the
+same solver three size queries.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .blocks import decompose, peel_leaf_block
@@ -65,105 +65,78 @@ def alpha_bounds(k: int) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 
-def _hopcroft_karp(g: Graph, left: list[int]) -> dict[int, int]:
-    """Maximum matching via BFS layering + DFS augmentation.
+def _matching(g: Graph, left: int) -> dict[int, int]:
+    """Maximum matching of a bipartite graph whose side ``left`` is a
+    bitmask, as {right vertex: left mate}.
 
-    Returns the match map for left vertices only.
+    One depth-first augmenting-path search per left vertex, in ascending
+    order.  Each step takes the lowest free neighbour when there is one,
+    else the lowest neighbour this search has not reached, so each vertex
+    enters a search at most once.  The path is an explicit list, which
+    keeps a path through all k vertices off the recursion limit.
+
+    A failed search leaves the right vertices it reached in ``dead``:
+    they are all matched, and the left vertices matched to them have no
+    neighbour outside ``dead``, so no later augmenting path can pass
+    through them, and each one enters at most one failed search.
     """
-    inf = float("inf")
-    match_l: dict[int, int] = {}
-    match_r: dict[int, int] = {}
-    dist: dict[int, float] = {}
-
-    def bfs() -> bool:
-        q = deque()
-        for u in left:
-            if u not in match_l:
-                dist[u] = 0
-                q.append(u)
-            else:
-                dist[u] = inf
-        found = False
-        while q:
-            u = q.popleft()
-            for w in _bits(g.adj[u]):
-                mate = match_r.get(w)
-                if mate is None:
-                    found = True
-                elif dist[mate] == inf:
-                    dist[mate] = dist[u] + 1
-                    q.append(mate)
-        return found
-
-    def augment(root: int) -> None:
-        """Depth-first search, neighbors in ascending order, for an
-        augmenting path from root along the BFS layers; flips the path
-        when found.
-
-        An explicit stack of (vertex, neighbor iterator) frames, with the
-        neighbor each frame below the top went through, keeps a path
-        through all k vertices off the interpreter's recursion limit.
-        """
-        frames = [(root, _bits(g.adj[root]))]
+    adj = g.adj
+    mates: dict[int, int] = {}
+    taken = dead = 0
+    for root in _bits(left):
+        seen = dead
+        path = [root]
         via: list[int] = []
-        while frames:
-            u, nbrs = frames[-1]
-            for w in nbrs:
-                mate = match_r.get(w)
-                if mate is None:
-                    via.append(w)
-                    for (x, _), y in zip(reversed(frames), reversed(via)):
-                        match_l[x] = y
-                        match_r[y] = x
-                    return
-                if dist[mate] == dist[u] + 1:
-                    via.append(w)
-                    frames.append((mate, _bits(g.adj[mate])))
-                    break
+        while path:
+            row = adj[path[-1]]
+            free = row & ~taken
+            if free:
+                bit = free & -free
+                taken |= bit
+                via.append(bit.bit_length() - 1)
+                mates.update(zip(via, path))
+                break
+            step = row & ~seen
+            if step:
+                bit = step & -step
+                seen |= bit
+                w = bit.bit_length() - 1
+                via.append(w)
+                path.append(mates[w])
             else:
-                dist[u] = inf
-                frames.pop()
+                path.pop()
                 if via:
                     via.pop()
-
-    while bfs():
-        for u in left:
-            if u not in match_l:
-                augment(u)
-    return match_l
+        if not path:
+            dead = seen
+    return mates
 
 
 def alpha_matching(g: Graph) -> AlphaResult:
     """Exact alpha of a connected bipartite graph via Koenig's theorem.
 
-    The witness comes from the alternating-path vertex-cover
-    construction; it is a valid maximum independent set but not a
-    canonical one.  The result is cached on the graph.
+    With L the side ``bipartition`` calls M and D_L the left vertices
+    some maximum matching leaves free (those reached from a free left
+    vertex by an alternating path), the witness is D_L together with the
+    right vertices outside N(D_L).  D_L is the same for every maximum
+    matching (Dulmage-Mendelsohn), so the witness is a function of the
+    graph.  The result is cached on the graph.
     """
     if g._alpha is not None:
         return g._alpha
-    bp = bipartition(g)
-    left = sorted(bp.M)
-    match_l = _hopcroft_karp(g, left)
-    match_r = {w: u for u, w in match_l.items()}
-
-    # Alternating reachability from unmatched left vertices.
-    reached = set(u for u in left if u not in match_l)
-    frontier = list(reached)
+    left = _mask(bipartition(g).M)
+    mates = _matching(g, left)
+    reached = frontier = left & ~_mask(mates.values())
     while frontier:
-        nxt = []
-        for u in frontier:
-            for w in _bits(g.adj[u]):
-                if w in reached or match_l.get(u) == w:
-                    continue
-                reached.add(w)
-                mate = match_r.get(w)
-                if mate is not None and mate not in reached:
-                    reached.add(mate)
-                    nxt.append(mate)
-        frontier = nxt
-    witness = frozenset((bp.M & reached) | (bp.N - reached))
-    alpha = g.k - len(match_l)
+        right = 0
+        for u in _bits(frontier):
+            right |= g.adj[u]
+        right &= ~reached
+        frontier = _mask(mates[w] for w in _bits(right))
+        reached |= right | frontier
+    full = (1 << g.k) - 1
+    witness = frozenset(_bits((reached & left) | (full & ~reached & ~left)))
+    alpha = g.k - len(mates)
     assert len(witness) == alpha, "Koenig construction out of balance"
     assert _is_independent(g, witness), "Koenig witness not independent"
     g._alpha = AlphaResult(alpha, witness)

@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .blocks import (
-    Block, BlockCutTree, _tree, block_by_id, decompose, leaf_blocks, leaf_neighbor
+    Block, BlockCutTree, _tree, block_by_id, decompose, is_bi_block, leaf_blocks,
+    leaf_neighbor,
 )
 from .errors import (
     BadSplitError,
@@ -35,7 +36,7 @@ from .errors import (
     PreconditionFailedError,
     StuckError,
 )
-from .graphs import Graph, _edge_diff, _mask, is_complete_bipartite, is_connected
+from .graphs import Graph, _edge_diff, _mask, is_complete_bipartite
 from .independence import alpha_bruteforce, alpha_matching, _is_independent
 from .spectral import RHO_MARGIN, perron
 
@@ -145,12 +146,6 @@ def _edit(g: Graph, step: RewriteStep) -> Graph:
     return Graph(g.k, tuple(adj))
 
 
-def _is_bi_block(g: Graph) -> bool:
-    """``blocks.is_bi_block`` read off ``decompose(g)``, whose cached tree
-    the next ``find_applicable`` on g reads, so no second DFS runs."""
-    return is_connected(g) and all(blk.parts is not None for blk in decompose(g).blocks)
-
-
 def apply_step(g: Graph, step: RewriteStep) -> RewriteOutcome:
     """Run one rewrite and enforce its postconditions.
 
@@ -179,7 +174,7 @@ def apply_step(g: Graph, step: RewriteStep) -> RewriteOutcome:
             edges_added=(),
             edges_removed=(),
         )
-    if not _is_bi_block(result):
+    if not is_bi_block(result):
         raise PostconditionViolationError(f"{step.case}: result is not bi-block")
     alpha_after = alpha_matching(result).alpha
     if alpha_after != alpha_before:
@@ -584,7 +579,7 @@ def normalize(g: Graph) -> tuple[Graph, list[RewriteOutcome]]:
     """
     if g.k == 1:
         return g, []
-    if not _is_bi_block(g):
+    if not is_bi_block(g):
         raise NotBiBlockError("normalize requires a bi-block graph")
     cur = g
     outcomes: list[RewriteOutcome] = []

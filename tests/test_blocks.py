@@ -211,16 +211,6 @@ class TestIsBiBlock:
         assert True in verdicts and False in verdicts
         assert verdicts[-5:] == [False] * 5
 
-    def test_builds_no_tree(self):
-        # is_bi_block must not cache a block-cut tree on its graph:
-        # enumeration asserts it on every graph it returns, and the
-        # cached trees of B(10) measured 4.9 MB (tracemalloc), about 12%
-        # of verify-theorem's 42 MB peak, above the benchmark's 0.1
-        # bound on peak_rss_mb.
-        g = from_edge_list(6, [(0, 1), (1, 2), (2, 3), (3, 0), (3, 4), (4, 5)])
-        assert is_bi_block(g)
-        assert g._blocks is None
-
 
 class TestBlockQueries:
     def test_star_center_index(self):

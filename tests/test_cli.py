@@ -539,8 +539,9 @@ class TestRobustness:
 
     def test_alpha_of_a_path_with_one_long_augmenting_path(self, capsys, tmp_path):
         # Labels p_{2i} -> i-1, p_0 -> n/2-1 and p_{2i-1} -> n/2+i-1 make the
-        # first matching phase pair each p_{2i} with p_{2i-1}, leaving one
-        # augmenting path through all n vertices.
+        # searches from p_2, ..., p_{n-2} pair each p_{2i} with p_{2i-1},
+        # leaving the search from p_0 one augmenting path through all n
+        # vertices.
         n = 3000
         label = [0] * n
         label[0] = n // 2 - 1
@@ -557,6 +558,23 @@ class TestRobustness:
         assert lines[0] == "alpha=1500"
         witness = {int(v) for v in lines[1].removeprefix("witness=").split()}
         assert len(witness) == 1500
+        assert not any(u in witness and v in witness for u, v in edges)
+
+    def test_alpha_of_a_shuffled_grid_at_the_size_limit(self, capsys, tmp_path):
+        rows, cols = 55, 54
+        label = list(range(rows * cols))
+        random.Random(5).shuffle(label)
+        cell = [label[r * cols:(r + 1) * cols] for r in range(rows)]
+        edges = [(cell[r][c], cell[r][c + 1]) for r in range(rows) for c in range(cols - 1)]
+        edges += [(cell[r][c], cell[r + 1][c]) for r in range(rows - 1) for c in range(cols)]
+        path = tmp_path / "grid.edges"
+        path.write_text(f"{rows * cols}\n" + "".join(f"{u} {v}\n" for u, v in edges))
+        code, out, err = run_cli(capsys, "alpha", "--witness", "--input", str(path))
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert lines[0] == "alpha=1485"
+        witness = {int(v) for v in lines[1].removeprefix("witness=").split()}
+        assert len(witness) == 1485
         assert not any(u in witness and v in witness for u, v in edges)
 
     @pytest.mark.parametrize("k", [3001, 10**9])

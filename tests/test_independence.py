@@ -21,7 +21,7 @@ from biblock.errors import (
     OddCycleError,
     TooLargeError,
 )
-from biblock.graphs import induced_subgraph
+from biblock.graphs import bipartition, induced_subgraph
 from biblock.independence import (
     CUT_IN_SET,
     CUT_OUT_RESTRICTION_MAXIMAL,
@@ -84,6 +84,32 @@ class TestAlphaMatching:
     def test_non_bipartite_rejected(self):
         with pytest.raises(OddCycleError):
             alpha_matching(from_edge_list(3, [(0, 1), (1, 2), (0, 2)]))
+
+    def test_witness_is_the_koenig_set_of_the_graph(self, biblock_by_k):
+        # With L the side holding vertex 0, D_L (the vertices of L some
+        # maximum matching leaves free) are those whose removal lowers
+        # alpha.  Brute force finds them without a matching, so this pins
+        # the witness D_L | (R - N(D_L)) to the graph, not to the
+        # matching algorithm.
+        rng = random.Random(41)
+        graphs = [random_connected_bipartite(rng, k) for k in range(2, 15) for _ in range(10)]
+        graphs += [g for k in range(2, 9) for g in biblock_by_k[k]]
+        for g in graphs:
+            alpha = alpha_bruteforce(g).alpha
+            everything = set(range(g.k))
+            left = bipartition(g).M
+            d_l = {
+                v for v in left
+                if alpha_bruteforce(induced_subgraph(g, everything - {v})[0]).alpha
+                == alpha - 1
+            }
+            n_d_l = {w for v in d_l for w in g.neighbors(v)}
+            assert alpha_matching(g).witness == d_l | (everything - left - n_d_l)
+
+    def test_complete_bipartite_at_the_size_limit(self):
+        res = alpha_matching(complete_bipartite(1500, 1500))
+        assert res.alpha == 1500
+        assert res.witness == frozenset(range(1500, 3000))
 
 
 class TestAlphaBruteforce:

@@ -91,7 +91,7 @@ def counting_normalize(monkeypatch):
     per_graph(blocks, "_biconnected_edge_components", "dfs")
     per_graph(graphs, "bipartition", "colouring")
     per_graph(independence, "bipartition", "colouring")
-    per_graph(independence, "_hopcroft_karp", "matching")
+    per_graph(independence, "_matching", "matching")
     make_tree = blocks._tree
 
     def counted_tree(pieces, k):
@@ -117,8 +117,8 @@ def counting_normalize(monkeypatch):
 
 def assert_structure_built_once(g, trace, work):
     """At most one DFS, 2-colouring, matching and tree per graph seen, a
-    tree for each of them, no ``is_bi_block``, and one ``_edit`` per step
-    tried."""
+    tree for each of them, one ``is_bi_block`` per graph seen, and one
+    ``_edit`` per step tried."""
     seen = {g} | {o.result for o in trace}
     assert len(seen) == len(trace) + 1
     # A tree does not name its graph; each one built must be the tree
@@ -130,7 +130,7 @@ def assert_structure_built_once(g, trace, work):
         assert len(built) == len(set(built)), key
         assert set(built) <= seen, key
     assert set(tree_graphs) == seen
-    assert work["is_bi_block"] == 0
+    assert work["is_bi_block"] == len(trace) + 1
     assert work["edit"] == len(trace) + work["no_op"]
 
 
