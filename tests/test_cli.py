@@ -1,4 +1,5 @@
 import copy
+import enum
 import hashlib
 import io
 import json
@@ -16,7 +17,7 @@ import pytest
 from jsonschema import validate
 
 from biblock import verify_theorem
-from biblock.cli import main
+from biblock.cli import _json_text, main
 from biblock.errors import NoConvergenceError
 from conftest import FIXTURES, SCHEMAS, random_biblock
 
@@ -412,6 +413,129 @@ class TestVerifyTheoremBytes:
         assert code == 1
         assert out == ""
         assert "verification failure: Perron pair failed its checks" in err
+
+
+# sha256 of the `--format json` stdout on fig1, as json.dumps(indent=2,
+# sort_keys=True) printed it before the CLI wrote its JSON itself.
+FIG1_JSON_SHA256 = {
+    ("decompose",):
+        "e23e13ac106640d03d11ac7e8b0266d002c6bc6b265a1e43b6255f3410578773",
+    ("alpha", "--witness"):
+        "ad2bbaca9e9c2c070dfbd562a4f2292a8b179f9f6ed6628de27a9d7545e1189a",
+    ("rho",):
+        "72419c0bed96c5c78bba31b623c8e4715c33c63610162c1c2f92e9ecce73ad9c",
+    ("identities",):
+        "6a71ecbb492f0033e17bbf2649d2a6ab7a3c52b80bd207032bdf6462025e72fc",
+    ("normalize",):
+        "648dfe8ee955e359e83b4f9ce09afd7221024ab154dce3edffcbded771fa7cc4",
+    ("rewrite", "--kind", "merge", "--f-block", "0", "--h-block", "1"):
+        "ff70c5391ee21cecd3195812e4215703401186533d92434e4150bdaffe96e6fb",
+}
+
+
+class TestFig1JsonBytes:
+    @pytest.mark.parametrize("command", sorted(FIG1_JSON_SHA256))
+    def test_stdout_pinned(self, capsys, command):
+        code, out, err = run_cli(capsys, *command, "--input", FIG1, "--format", "json")
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == FIG1_JSON_SHA256[command]
+
+
+class _Level(enum.IntEnum):
+    HIGH = 3
+
+
+class TestJsonWriter:
+    """cli._json_text against its oracle, json.dumps(indent=2, sort_keys=True)."""
+
+    @pytest.mark.parametrize("value", [
+        [], {}, [[]], {"a": []}, [{}, [[], {}]],
+        (1, 2), ((), (3, "x")), {"t": (1.5, None), "u": ()},
+        [1, True, None], [False, 0, 1], True, None, 0,
+        -7, 2**80, [-(2**80), 2**80, 0],
+        -0.0, 1e-15, 1e16, 0.1 + 0.2, [-0.0, 1e-15, 1e16, 0.1 + 0.2, 1.0],
+        float("nan"), float("inf"), float("-inf"),
+        [float("nan"), float("inf"), float("-inf")],
+        np.float64(1.5), [np.float64(-0.25), np.float64("inf")], {"x": np.float64(2.0)},
+        _Level.HIGH, [_Level.HIGH, 4], {"level": _Level.HIGH},
+        "café ☃ \U0001f600", "\x00\x07\x1f\x7f", 'say "hi"', "back\\slash",
+        ["\n\t\r\b\f", "/", ""], {"é": "☃", '"': "\\"},
+        {"10": 1, "2": 2, "b": {"a": [1, 2], "B": None}, "": 0},
+        {"blocks": [{"id": 0, "parts": [[0, 1], [2]], "is_leaf": True}], "k": 3},
+    ])
+    def test_matches_json_dumps(self, value):
+        assert _json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+
+    # json.dumps would write the int key as "1"; every payload's keys are
+    # str, and the writer refuses any other key.
+    @pytest.mark.parametrize("value", [{1: 2}, {"a": {(1,): 2}}, {1, 2}, [object()]])
+    def test_refuses_what_is_not_json(self, value):
+        with pytest.raises(TypeError):
+            _json_text(value)
+
+
+def _assert_canonical_json(out):
+    """out is the CLI's JSON: json.dumps(indent=2, sort_keys=True) of what it
+    holds, and one newline."""
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
+class TestJsonPayloads:
+    JSON_COMMANDS = (
+        ("validate",),
+        ("decompose",),
+        ("alpha", "--witness"),
+        ("rho",),
+        ("identities",),
+        ("normalize",),
+    )
+
+    def _check_graph(self, capsys, path):
+        """Check every JSON command on path; the number of merges that applied."""
+        outs = {}
+        for command in self.JSON_COMMANDS:
+            code, out, err = run_cli(capsys, *command, "--input", path, "--format", "json")
+            assert (code, err) == (0, ""), command
+            _assert_canonical_json(out)
+            outs[command] = out
+        blocks = len(json.loads(outs[("decompose",)])["blocks"])
+        merged = 0
+        for f in range(blocks):
+            for h in range(blocks):
+                code, out, _ = run_cli(
+                    capsys, "rewrite", "--kind", "merge", "--f-block", str(f),
+                    "--h-block", str(h), "--input", path, "--format", "json",
+                )
+                if code == 0:
+                    _assert_canonical_json(out)
+                    merged += 1
+                else:
+                    assert out == ""
+        return merged
+
+    def test_fixtures_and_random_graphs(self, capsys, tmp_path):
+        from biblock import format_edge_list
+
+        rng = random.Random(17)
+        paths = [P3, K23, FIG1]
+        for i in range(40):
+            path = tmp_path / f"g{i}.edges"
+            path.write_text(format_edge_list(random_biblock(rng, rng.randint(2, 16))))
+            paths.append(str(path))
+        merged = [self._check_graph(capsys, path) for path in paths]
+        assert sum(m > 0 for m in merged) >= 20
+
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_verify_theorem(self, capsys, k):
+        code, out, err = run_cli(capsys, "verify-theorem", "--k", str(k), "--format", "json")
+        assert (code, err) == (0, "")
+        _assert_canonical_json(out)
+
+    @pytest.mark.parametrize("k", range(2, 8))
+    def test_enumerate(self, capsys, k):
+        code, out, err = run_cli(capsys, "enumerate", "--k", str(k), "--format", "json")
+        assert (code, err) == (0, "")
+        _assert_canonical_json(out)
 
 
 IMPORT_BOUNDARY = """
