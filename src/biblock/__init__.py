@@ -44,6 +44,7 @@ from .independence import (
     alpha_bruteforce,
     alpha_matching,
     classify_leaf,
+    lexmin_witness,
     maximum_independent_sets,
     verify_lemma_2_1,
     verify_prop_alpha,

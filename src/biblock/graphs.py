@@ -30,12 +30,13 @@ class Graph:
     Instances are immutable and hashable; bit v of ``adj[u]`` is set iff
     uv is an edge.  Construct through :func:`from_edge_list` or the
     shape-specific builders rather than calling this directly.  The
-    Perron pair, block-cut tree and alpha are cached in private slots by
-    the functions that compute them, each set once and only on success;
-    the edge set, canonical form and dense matrix are built per call.
+    Perron pair, block-cut tree, alpha and the 2-colouring's side of
+    vertex 0 are cached in private slots by the functions that compute
+    them, each set once and only on success; the edge set, canonical
+    form and dense matrix are built per call.
     """
 
-    __slots__ = ("k", "adj", "_perron", "_blocks", "_alpha")
+    __slots__ = ("k", "adj", "_perron", "_blocks", "_alpha", "_left")
 
     def __init__(self, k: int, adj: tuple[int, ...]):
         self.k = k
@@ -43,6 +44,7 @@ class Graph:
         self._perron = None
         self._blocks = None
         self._alpha = None
+        self._left = None
 
     @property
     def edges(self) -> frozenset[tuple[int, int]]:

@@ -3,13 +3,15 @@ dichotomy checks.
 
 Production path: Koenig's identity alpha = k - (maximum matching) on
 bipartite graphs, with the matching found by one bitmask augmenting-path
-search per left vertex.  The independent oracle is one memoised
-branch-and-bound solver over vertex subsets, ``_MisSolver``, which
-refuses graphs above ``BRUTE_FORCE_CAP`` vertices.  Its one
-lexicographic walk over the maximum sets gives ``alpha_bruteforce`` its
-witness (the first set, the tie-break ``normalize`` relies on) and
-``maximum_independent_sets`` its list; ``verify_lemma_2_1`` asks the
-same solver three size queries.
+search per left vertex.  ``alpha_matching`` reads alpha and a Koenig
+witness off one matching; ``lexmin_witness`` finds the lexicographically
+smallest maximum set, which ``normalize`` relies on, by matching induced
+subgraphs.  The independent oracle, used only by tests and the paper
+checks, is one memoised branch-and-bound solver over vertex subsets,
+``_MisSolver``, which refuses graphs above ``BRUTE_FORCE_CAP`` vertices.
+Its one lexicographic walk over the maximum sets gives
+``alpha_bruteforce`` its witness and ``maximum_independent_sets`` its
+list; ``verify_lemma_2_1`` asks the same solver three size queries.
 """
 
 from __future__ import annotations
@@ -65,9 +67,10 @@ def alpha_bounds(k: int) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 
-def _matching(g: Graph, left: int) -> dict[int, int]:
+def _matching(g: Graph, left: int, within: int = -1) -> dict[int, int]:
     """Maximum matching of a bipartite graph whose side ``left`` is a
-    bitmask, as {right vertex: left mate}.
+    bitmask, as {right vertex: left mate}, on the subgraph induced by the
+    vertex mask ``within`` (all of g by default).
 
     One depth-first augmenting-path search per left vertex, in ascending
     order.  Each step takes the lowest free neighbour when there is one,
@@ -79,11 +82,13 @@ def _matching(g: Graph, left: int) -> dict[int, int]:
     they are all matched, and the left vertices matched to them have no
     neighbour outside ``dead``, so no later augmenting path can pass
     through them, and each one enters at most one failed search.
+    Vertices outside ``within`` start out taken and dead, so no search
+    enters them.
     """
     adj = g.adj
     mates: dict[int, int] = {}
-    taken = dead = 0
-    for root in _bits(left):
+    taken = dead = ~within
+    for root in _bits(left & within):
         seen = dead
         path = [root]
         via: list[int] = []
@@ -124,7 +129,7 @@ def alpha_matching(g: Graph) -> AlphaResult:
     """
     if g._alpha is not None:
         return g._alpha
-    left = _mask(bipartition(g).M)
+    left = _left_side(g)
     mates = _matching(g, left)
     reached = frontier = left & ~_mask(mates.values())
     while frontier:
@@ -143,9 +148,50 @@ def alpha_matching(g: Graph) -> AlphaResult:
     return g._alpha
 
 
+def _left_side(g: Graph) -> int:
+    """The side ``bipartition`` calls M, as a mask cached on g: the alpha
+    matching and every witness query match against it."""
+    if g._left is None:
+        g._left = _mask(bipartition(g).M)
+    return g._left
+
+
+def lexmin_witness(g: Graph) -> frozenset[int]:
+    """The lexicographically smallest maximum independent set of a
+    connected bipartite graph, the set ``alpha_bruteforce`` returns.
+
+    The rule of ``_MisSolver.walk``'s first set: with R the vertices
+    still open and ``need`` = alpha(R), the lowest v of R joins exactly
+    when 1 + alpha(R - N[v]) = need, and otherwise no maximum set of R
+    holds v, so v leaves R.  Each alpha is |R'| less a maximum matching of
+    the subgraph induced on R', so one call makes at most k matchings; a
+    v with no neighbour in R joins with none.
+    """
+    left = _left_side(g)
+    need = alpha_matching(g).alpha
+    rest = (1 << g.k) - 1
+    chosen = 0
+    while need:
+        bit = rest & -rest
+        row = g.adj[bit.bit_length() - 1] & rest
+        take = (rest & ~row) ^ bit
+        if not row or 1 + take.bit_count() - len(_matching(g, left, take)) == need:
+            chosen |= bit
+            rest = take
+            need -= 1
+        else:
+            rest ^= bit
+    return frozenset(_bits(chosen))
+
+
 def _is_independent(g: Graph, vertices) -> bool:
     mask = _mask(vertices)
     return all(g.adj[v] & mask == 0 for v in vertices)
+
+
+def _check_maximum(g: Graph, witness: frozenset[int]) -> None:
+    if not _is_independent(g, witness) or len(witness) != alpha_matching(g).alpha:
+        raise NotMaximumError("witness is not a maximum independent set")
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +277,8 @@ class _MisSolver:
 def alpha_bruteforce(g: Graph) -> AlphaResult:
     """Exhaustive alpha with the lexicographically smallest witness.
 
-    Independent of the matching path on purpose; capped at 24 vertices.
+    The oracle for ``lexmin_witness``, independent of the matching path
+    on purpose; capped at 24 vertices.
     """
     solver = _MisSolver(g)
     alpha = solver.size(solver.full)
@@ -259,8 +306,7 @@ def classify_leaf(g: Graph, h_id: int, witness) -> LeafCase:
     """
     witness = frozenset(witness)
     t = decompose(g)
-    if not _is_independent(g, witness) or len(witness) != alpha_matching(g).alpha:
-        raise NotMaximumError("witness is not a maximum independent set")
+    _check_maximum(g, witness)
     peeled, old_to_new = peel_leaf_block(g, h_id)
     blk = t.blocks[h_id]
     (v,) = blk.vertices & t.cut_vertices

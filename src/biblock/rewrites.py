@@ -12,6 +12,10 @@ pendant-edge blocks around a common center coalesced into one star unit.
 Star coalescing changes bookkeeping only, never the graph, but without
 it the index-reduction move degenerates to a no-op at star centers and
 normalization cannot progress.
+
+Each case is read off the lexicographically smallest maximum independent
+set, ``independence.lexmin_witness``; the brute-force
+``alpha_bruteforce`` is only its test oracle.
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ from .errors import (
     BadSplitError,
     BlockIndexTooSmallError,
     NotBiBlockError,
-    NotMaximumError,
     NotNeighborsError,
     NoValidPairError,
     OrientationMismatchError,
@@ -35,15 +38,21 @@ from .errors import (
     PostconditionViolationError,
     PreconditionFailedError,
     StuckError,
+    TooLargeError,
 )
 from .graphs import Graph, _edge_diff, _mask, is_complete_bipartite
-from .independence import alpha_bruteforce, alpha_matching, _is_independent
+from .independence import _check_maximum, alpha_matching, lexmin_witness
 from .spectral import RHO_MARGIN, perron
 
 MERGE_BLOCKS = "MergeBlocks"
 REATTACH = "ReattachSubcase32"
 SPLIT_PARTITION = "SplitPartitionSubcase22"
 REDUCE_BLOCK_INDEX = "ReduceBlockIndex"
+
+# Largest k ``normalize`` rewrites.  Each step runs ``lexmin_witness``
+# (at most k matchings) and dense Perron solves, so its cost grows about
+# as k^3.
+NORMALIZE_CAP = 300
 
 
 @dataclass(frozen=True)
@@ -405,7 +414,7 @@ def reduce_block_index(g: Graph, v: int, bi_id: int, bj_id: int) -> RewriteOutco
     if bi_id not in ids or bj_id not in ids or bi_id == bj_id:
         raise NoValidPairError(f"blocks {bi_id}, {bj_id} are not distinct blocks at {v}")
     f, h = _block_unit(t, bi_id), _block_unit(t, bj_id)
-    witness = alpha_bruteforce(g).witness
+    witness = lexmin_witness(g)
     if not _reduce_pair_valid(witness, f, h, v):
         raise NoValidPairError(
             f"witness meets opposite sides of blocks {bi_id} and {bj_id} at {v}"
@@ -548,8 +557,7 @@ def find_applicable(g: Graph, witness) -> list[RewriteStep]:
     """
     t = decompose(g)
     witness = frozenset(witness)
-    if not _is_independent(g, witness) or len(witness) != alpha_matching(g).alpha:
-        raise NotMaximumError("witness is not a maximum independent set")
+    _check_maximum(g, witness)
     if is_complete_bipartite(g):
         return []
     u = unit_decomposition(g)
@@ -575,7 +583,8 @@ def normalize(g: Graph) -> tuple[Graph, list[RewriteOutcome]]:
     graph is taken, so every applied step's result is built once;
     degenerate no-op steps are skipped.  Every applied step changes the
     edge set, so the unit count strictly decreases and the loop
-    terminates.
+    terminates.  A graph above ``NORMALIZE_CAP`` vertices is refused
+    when it needs a step.
     """
     if g.k == 1:
         return g, []
@@ -585,9 +594,11 @@ def normalize(g: Graph) -> tuple[Graph, list[RewriteOutcome]]:
     outcomes: list[RewriteOutcome] = []
     bound = len(decompose(g).blocks)
     while not is_complete_bipartite(cur):
+        if g.k > NORMALIZE_CAP:
+            raise TooLargeError(f"normalize capped at k <= {NORMALIZE_CAP}, got {g.k}")
         if len(outcomes) > bound:
             raise StuckError("step budget exceeded without reaching one block")
-        witness = alpha_bruteforce(cur).witness
+        witness = lexmin_witness(cur)
         for step in find_applicable(cur, witness):
             outcome = apply_step(cur, step)
             if outcome.result != cur:

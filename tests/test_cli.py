@@ -16,8 +16,12 @@ import numpy as np
 import pytest
 from jsonschema import validate
 
-from biblock import verify_theorem
+from biblock import (
+    complete_bipartite, decompose, format_edge_list, from_edge_list, independence,
+    verify_theorem,
+)
 from biblock.cli import _json_text, main
+from biblock.rewrites import NORMALIZE_CAP
 from biblock.errors import NoConvergenceError
 from conftest import FIXTURES, SCHEMAS, random_biblock
 
@@ -255,6 +259,101 @@ class TestNormalizeCommand:
         assert code == 0
         payload = json.loads(out)
         assert (payload["rho_initial"], payload["rho_final"]) == (None, None)
+
+
+def normalize_cap_graph(k):
+    """K_{a,b} on k - 1 vertices, a <= b <= a + 1, plus one pendant edge
+    at vertex 0 of the a side: one step from K_{b+1,a}."""
+    a = (k - 1) // 2
+    pairs = [(u, v) for u in range(a) for v in range(a, k - 1)]
+    return format_edge_list(from_edge_list(k, pairs + [(0, k - 1)]))
+
+
+class TestNormalizeCap:
+    def test_answers_at_the_cap(self, capsys, tmp_path):
+        path = tmp_path / "g.edges"
+        path.write_text(normalize_cap_graph(NORMALIZE_CAP))
+        code, out, err = run_cli(capsys, "normalize", "--input", str(path))
+        assert (code, err) == (0, "")
+        assert out.endswith("normalized to K_{151,149} in 1 steps; "
+                            "rho 149.499186325 -> 149.99666663\n")
+
+    def test_refused_past_the_cap(self, capsys, tmp_path):
+        path = tmp_path / "g.edges"
+        path.write_text(normalize_cap_graph(NORMALIZE_CAP + 1))
+        code, out, err = run_cli(capsys, "normalize", "--input", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: normalize capped at k <= 300, got {NORMALIZE_CAP + 1}\n"
+
+    def test_complete_bipartite_past_the_cap_takes_no_step(self, capsys, tmp_path):
+        path = tmp_path / "g.edges"
+        path.write_text(format_edge_list(complete_bipartite(150, 151)))
+        code, out, err = run_cli(capsys, "normalize", "--input", str(path))
+        assert (code, err) == (0, "")
+        assert out.startswith("normalized to K_{151,150} in 0 steps; rho ")
+
+    def test_reduce_past_the_brute_force_cap(self, capsys, tmp_path):
+        # Three K_{2,2} at vertex 0 and 20 pendant edges there: k = 30.
+        squares = [(0, 2), (0, 3), (1, 2), (1, 3), (0, 5), (0, 6), (4, 5), (4, 6),
+                   (0, 8), (0, 9), (7, 8), (7, 9)]
+        g = from_edge_list(30, squares + [(0, v) for v in range(10, 30)])
+        path = tmp_path / "g.edges"
+        path.write_text(format_edge_list(g))
+        ids = decompose(g).incidence[0]
+        code, out, err = run_cli(
+            capsys, "rewrite", "--kind", "reduce", "--input", str(path), "--vertex", "0",
+            "--bi-block", str(ids[0]), "--bj-block", str(ids[1]),
+        )
+        assert (code, err) == (0, "")
+        assert out.startswith("block-index reduction: ReduceBlockIndex at v=0, +4/-0 edges")
+
+
+class TestNoBruteForce:
+    """No subcommand reaches the brute-force oracle ``_MisSolver``."""
+
+    @pytest.fixture(autouse=True)
+    def refuse_brute_force(self, monkeypatch):
+        def refuse(g):
+            raise AssertionError("brute force reached")
+
+        monkeypatch.setattr(independence, "_MisSolver", refuse)
+
+    @pytest.mark.parametrize("argv, expected", [
+        (("validate",), 0),
+        (("decompose",), 0),
+        (("alpha", "--witness"), 0),
+        (("rho",), 0),
+        (("identities",), 0),
+        (("normalize",), 0),
+        (("normalize", "--format", "json"), 0),
+        (("rewrite", "--kind", "merge", "--f-block", "0", "--h-block", "1"), 0),
+        (("rewrite", "--kind", "split", "--f-block", "0", "--h-block", "1"), 2),
+        (("rewrite", "--kind", "reduce", "--vertex", "1", "--bi-block", "0",
+          "--bj-block", "1"), 0),
+        (("rewrite", "--kind", "reduce", "--vertex", "1", "--bi-block", "1",
+          "--bj-block", "2"), 0),
+    ])
+    def test_fig1(self, capsys, argv, expected):
+        code, out, err = run_cli(capsys, *argv, "--input", FIG1)
+        assert code == expected, err
+        assert (out != "") == (expected == 0)
+
+    def test_generation_commands(self, capsys):
+        for argv in (("enumerate", "--k", "6"), ("verify-theorem", "--k", "7")):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, err) == (0, ""), argv
+
+    def test_seeded_normalize_inputs(self, capsys, tmp_path):
+        rng = random.Random(41)
+        path = tmp_path / "g.edges"
+        steps = 0
+        for _ in range(30):
+            path.write_text(format_edge_list(random_biblock(rng, rng.randint(8, 40))))
+            code, out, err = run_cli(capsys, "normalize", "--input", str(path),
+                                     "--format", "json")
+            assert (code, err) == (0, "")
+            steps += json.loads(out)["step_count"]
+        assert steps > 30
 
 
 class TestEnumerateCommand:
@@ -602,7 +701,7 @@ class TestExitCodes:
         for command, expected in (("validate", 0), ("decompose", 0), ("normalize", 2)):
             code, _, err = run_cli(capsys, command, "--input", str(path))
             assert code == expected, (command, err)
-        assert "capped at 24" in err
+        assert "normalize capped at k <= 300, got 1500" in err
         code, out, err = run_cli(capsys, "rho", "--input", str(path))
         assert code == 0, err
         assert abs(float(out.split("=")[1]) - 2 * math.cos(math.pi / 1501)) < 1e-9

@@ -9,7 +9,10 @@ from biblock import (
     classify_leaf,
     complete_bipartite,
     decompose,
+    enumerate_biblock,
     from_edge_list,
+    is_bi_block,
+    lexmin_witness,
     maximum_independent_sets,
     verify_lemma_2_1,
     verify_prop_alpha,
@@ -21,12 +24,13 @@ from biblock.errors import (
     OddCycleError,
     TooLargeError,
 )
-from biblock.graphs import bipartition, induced_subgraph
+from biblock.graphs import _mask, bipartition, induced_subgraph, relabel
 from biblock.independence import (
     CUT_IN_SET,
     CUT_OUT_RESTRICTION_MAXIMAL,
     CUT_OUT_RESTRICTION_NOT_MAXIMAL,
     VertexRemovalReport,
+    _matching,
 )
 from conftest import (
     maximum_sets_by_combinations,
@@ -140,6 +144,45 @@ class TestAlphaBruteforce:
         for _ in range(200):
             g = random_connected_bipartite(rng, rng.randint(2, 12))
             assert alpha_matching(g).alpha == alpha_bruteforce(g).alpha
+
+
+def shuffled_non_biblock_graphs(seed, count):
+    """Seeded connected bipartite graphs on 2..24 vertices that are not
+    bi-block, each under a shuffled labelling."""
+    rng = random.Random(seed)
+    graphs = []
+    while len(graphs) < count:
+        k = rng.randint(2, 24)
+        perm = list(range(k))
+        rng.shuffle(perm)
+        g = relabel(random_connected_bipartite(rng, k), perm)
+        if not is_bi_block(g):
+            graphs.append(g)
+    return graphs
+
+
+class TestLexminWitness:
+    def test_equals_bruteforce_on_all_of_b_k(self, biblock_by_k):
+        for g in [g for k in range(2, 10) for g in biblock_by_k[k]] + enumerate_biblock(10):
+            assert lexmin_witness(g) == alpha_bruteforce(g).witness, g
+
+    def test_equals_bruteforce_on_shuffled_non_biblock_graphs(self):
+        for g in shuffled_non_biblock_graphs(18, 150):
+            assert lexmin_witness(g) == alpha_bruteforce(g).witness, g
+
+    def test_matching_within_a_mask_matches_the_induced_subgraph(self):
+        rng = random.Random(7)
+        for g in shuffled_non_biblock_graphs(19, 40):
+            left = _mask(bipartition(g).M)
+            for _ in range(5):
+                within = rng.getrandbits(g.k) | 1 << rng.randrange(g.k)
+                size = within.bit_count() - len(_matching(g, left, within))
+                sub, _ = induced_subgraph(g, [v for v in range(g.k) if within >> v & 1])
+                assert size == alpha_bruteforce(sub).alpha
+
+    def test_non_bipartite_rejected(self):
+        with pytest.raises(OddCycleError):
+            lexmin_witness(cycle(5))
 
 
 class TestAlphaBounds:

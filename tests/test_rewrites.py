@@ -58,8 +58,9 @@ def path(n):
 def counting_normalize(monkeypatch):
     """A ``normalize`` that also reports the structure work it did: the
     graphs each lowpoint DFS, 2-colouring, matching and block-cut tree
-    was built for, the ``_edit`` calls, the no-op steps it skipped, and
-    the ``is_bi_block`` calls.
+    was built for, the graphs of the witness's matchings of induced
+    subgraphs (``_matching`` calls given a vertex mask), the ``_edit``
+    calls, the no-op steps it skipped, and the ``is_bi_block`` calls.
 
     Trees are counted where ``decompose`` builds them, through
     ``blocks._tree``; ``rewrites`` holds its own reference to ``_tree``,
@@ -91,7 +92,13 @@ def counting_normalize(monkeypatch):
     per_graph(blocks, "_biconnected_edge_components", "dfs")
     per_graph(graphs, "bipartition", "colouring")
     per_graph(independence, "bipartition", "colouring")
-    per_graph(independence, "_matching", "matching")
+    matching = independence._matching
+
+    def counted_matching(h, left, within=-1):
+        work["matching" if within == -1 else "witness_query"].append(h)
+        return matching(h, left, within)
+
+    monkeypatch.setattr(independence, "_matching", counted_matching)
     make_tree = blocks._tree
 
     def counted_tree(pieces, k):
@@ -107,8 +114,8 @@ def counting_normalize(monkeypatch):
             per_call(mod, "is_bi_block", "is_bi_block")
 
     def run(g):
-        work.update(dfs=[], colouring=[], matching=[], tree=[], edit=0, no_op=0,
-                    is_bi_block=0)
+        work.update(dfs=[], colouring=[], matching=[], witness_query=[], tree=[],
+                    edit=0, no_op=0, is_bi_block=0)
         _, trace = normalize(g)
         return trace, work
 
@@ -117,8 +124,9 @@ def counting_normalize(monkeypatch):
 
 def assert_structure_built_once(g, trace, work):
     """At most one DFS, 2-colouring, matching and tree per graph seen, a
-    tree for each of them, one ``is_bi_block`` per graph seen, and one
-    ``_edit`` per step tried."""
+    tree for each of them, at most k witness matchings for each graph a
+    step left, one ``is_bi_block`` per graph seen, and one ``_edit`` per
+    step tried."""
     seen = {g} | {o.result for o in trace}
     assert len(seen) == len(trace) + 1
     # A tree does not name its graph; each one built must be the tree
@@ -130,6 +138,9 @@ def assert_structure_built_once(g, trace, work):
         assert len(built) == len(set(built)), key
         assert set(built) <= seen, key
     assert set(tree_graphs) == seen
+    stepped = [g, *(o.result for o in trace)][:len(trace)]
+    assert set(work["witness_query"]) == set(stepped)
+    assert all(work["witness_query"].count(h) <= h.k for h in stepped)
     assert work["is_bi_block"] == len(trace) + 1
     assert work["edit"] == len(trace) + work["no_op"]
 
