@@ -14,16 +14,9 @@ edges.  No block is relabelled or 2-coloured again.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
-from .errors import (
-    DisconnectedError,
-    NotLeafError,
-    NotNeighborsError,
-    OutOfRangeError,
-    SingleBlockError,
-)
-from .graphs import Graph, _bits, induced_subgraph, is_connected
+from .errors import DisconnectedError, OutOfRangeError
+from .graphs import Graph, _bits, is_connected
 
 
 @dataclass(frozen=True)
@@ -188,13 +181,6 @@ def is_bi_block(g: Graph) -> bool:
     return is_connected(g) and all(b.parts is not None for b in decompose(g).blocks)
 
 
-def block_index(t: BlockCutTree, v: int) -> int:
-    """Number of blocks containing v (1 unless v is a cut vertex)."""
-    if not 0 <= v < len(t.incidence):
-        raise OutOfRangeError(f"vertex {v} not in 0..{len(t.incidence) - 1}")
-    return len(t.incidence[v])
-
-
 def leaf_blocks(t: BlockCutTree) -> list[int]:
     """Ids of blocks containing at most one cut vertex.
 
@@ -211,7 +197,10 @@ def leaf_blocks(t: BlockCutTree) -> list[int]:
 
 def block_by_id(t: BlockCutTree, bid: int) -> Block:
     """Piece bid of t; ids outside 0..len(t.blocks) - 1, negative ones
-    included, raise ``OutOfRangeError``."""
+    included, raise ``OutOfRangeError``, as does any id when t has no
+    pieces (a one-vertex graph)."""
+    if not t.blocks:
+        raise OutOfRangeError(f"block id {bid}: the graph has no blocks")
     if not 0 <= bid < len(t.blocks):
         raise OutOfRangeError(f"block id {bid} not in 0..{len(t.blocks) - 1}")
     return t.blocks[bid]
@@ -228,49 +217,6 @@ def leaf_neighbor(t: BlockCutTree, h_id: int) -> tuple[int, int] | None:
         return None
     (f_id,) = (i for i in t.incidence[v] if i != h_id)
     return f_id, v
-
-
-def shared_cut_vertex(t: BlockCutTree, f_id: int, h_id: int) -> int:
-    """The cut vertex joining two neighboring blocks."""
-    shared = block_by_id(t, f_id).vertices & block_by_id(t, h_id).vertices
-    if len(shared) != 1:
-        raise NotNeighborsError(
-            f"blocks {f_id} and {h_id} do not share exactly one cut vertex"
-        )
-    return next(iter(shared))
-
-
-def neighbor_union(g: Graph, f_id: int, h_id: int) -> Graph:
-    """Induced subgraph on the union of two neighboring blocks."""
-    t = decompose(g)
-    shared_cut_vertex(t, f_id, h_id)
-    union = t.blocks[f_id].vertices | t.blocks[h_id].vertices
-    sub, _ = induced_subgraph(g, union)
-    return sub
-
-
-class PeelResult(NamedTuple):
-    graph: Graph
-    old_to_new: dict[int, int]
-
-
-def peel_leaf_block(g: Graph, h_id: int) -> PeelResult:
-    """Remove a leaf block except its cut vertex, relabeling densely.
-
-    The label map is returned alongside so callers can trace surviving
-    vertices.
-    """
-    t = decompose(g)
-    if len(t.blocks) == 1:
-        raise SingleBlockError("cannot peel the only block")
-    blk = block_by_id(t, h_id)
-    cut_in_block = blk.vertices & t.cut_vertices
-    if len(cut_in_block) != 1:
-        raise NotLeafError(f"block {h_id} has {len(cut_in_block)} cut vertices")
-    v = next(iter(cut_in_block))
-    keep = (set(range(g.k)) - blk.vertices) | {v}
-    sub, old_to_new = induced_subgraph(g, keep)
-    return PeelResult(sub, old_to_new)
 
 
 def to_report(t: BlockCutTree) -> dict:

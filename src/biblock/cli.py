@@ -273,8 +273,8 @@ def _cmd_rewrite(args) -> int:
             outcome = rewrites.reattach_subcase32(g, args.f_block, args.h_block)
         else:
             n1 = None
-            if args.n1:
-                n1 = [int(s) for s in args.n1.split(",")]
+            if args.n1 is not None:
+                n1 = [int(s) for s in args.n1.split(",")] if args.n1 else []
             outcome = rewrites.split_partition_subcase22(
                 g, args.f_block, args.h_block, n1_choice=n1
             )
@@ -315,8 +315,9 @@ def _cmd_normalize(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    spec = enumeration.ClassSpec(args.k, args.alpha)
-    members = sorted(enumeration.enumerate_class(spec), key=graphs.canonical_form)
+    members = sorted(
+        enumeration.enumerate_class(args.k, args.alpha), key=graphs.canonical_form
+    )
     if args.format == "json":
         payload = [
             {"k": g.k, "edges": [list(e) for e in sorted(g.edges)]} for g in members

@@ -1,27 +1,23 @@
 """Isomorph-free enumeration of connected bi-block graphs and the
 extremal verification sweep.
 
-The production route generates block-cut-tree codes: every class of
-B(k) has exactly one code, taken at the centre of its block-cut tree
-and built from rooted pieces by multiset recursion on size (as in
-constant-time rooted-tree generation, Beyer & Hedetniemi 1980, with
-free trees taken by their centre, Wright, Richmond, Odlyzko & McKay
-1986).  One Graph is built per code, so no candidate is canonicalized
-or thrown away.  Each build asserts what its code states (every label
+B(k) comes from block-cut-tree codes: every class of B(k) has exactly
+one code, taken at the centre of its block-cut tree and built from
+rooted pieces by multiset recursion on size (as in constant-time
+rooted-tree generation, Beyer & Hedetniemi 1980, with free trees taken
+by their centre, Wright, Richmond, Odlyzko & McKay 1986).  One Graph is
+built per code, so no candidate is canonicalized or thrown away.  Each build asserts what its code states (every label
 used once, an edge for each pair its blocks cross, one component)
-rather than rebuilding the blocks.  Two routes that share no logic
-with the generator serve the tests as oracles: an edge-subset filter
-for small k, and a block-attachment route that glues one block at a
-time and deduplicates by canonical form.
+rather than rebuilding the blocks.
 
 The generator reads each graph's alpha off its code, from independent
 set counts tabulated once per piece and branch, so ``verify_theorem``
 and ``enumerate_class`` partition B(k) by that value without a
 matching.  ``_verify_class`` solves each class's Perron pairs in
 batches (``spectral.perron_batch``) and caches each pair on its graph.
-One per-class check serves the sweep and ``extremal_verify``: it is
-structural, reading the maximizer's rows rather than a canonical form,
-and gives a report only when that maximizer is unique.
+One per-class check serves the sweep and a single ``--alpha`` class: it
+is structural, reading the maximizer's rows rather than a canonical
+form, and gives a report only when that maximizer is unique.
 """
 
 from __future__ import annotations
@@ -53,18 +49,6 @@ from .spectral import perron_batch
 # runs alpha_matching and perron graph by graph.
 GENERATION_CAP = 13
 UNIQUENESS_BAND = 1e-9
-
-
-@dataclass(frozen=True)
-class ClassSpec:
-    """The class B(k, alpha); alpha may be left open to mean all values.
-
-    Feasible alphas lie in [ceil(k/2), k-1]; out-of-range values simply
-    name an empty class.
-    """
-
-    k: int
-    alpha: int | None = None
 
 
 def _block_shapes(n: int):
@@ -276,17 +260,17 @@ def biblock_classes(k: int) -> dict[int, list[Graph]]:
     return dict(sorted(classes.items()))
 
 
-def enumerate_class(spec: ClassSpec) -> list[Graph]:
-    """Members of B(k, alpha), or all bi-block graphs when alpha is open.
-    Past ``enumerate_biblock``'s size checks, an alpha outside
-    ``alpha_bounds(k)`` gives [] without generating B(k)."""
-    if spec.alpha is not None and 2 <= spec.k <= GENERATION_CAP:
-        lo, hi = alpha_bounds(spec.k)
-        if not lo <= spec.alpha <= hi:
+def enumerate_class(k: int, alpha: int | None = None) -> list[Graph]:
+    """Members of B(k, alpha), or all bi-block graphs on k vertices when
+    alpha is None.  Past ``enumerate_biblock``'s size checks, an alpha
+    outside ``alpha_bounds(k)`` gives [] without generating B(k)."""
+    if alpha is None:
+        return enumerate_biblock(k)
+    if 2 <= k <= GENERATION_CAP:
+        lo, hi = alpha_bounds(k)
+        if not lo <= alpha <= hi:
             return []
-    if spec.alpha is None:
-        return enumerate_biblock(spec.k)
-    return biblock_classes(spec.k).get(spec.alpha, [])
+    return biblock_classes(k).get(alpha, [])
 
 
 @dataclass(frozen=True)
@@ -349,19 +333,13 @@ def _verify_class(k: int, alpha: int, members: list[Graph]) -> ExtremalReport:
     )
 
 
-def extremal_verify(spec: ClassSpec) -> ExtremalReport:
-    """Maximize rho over B(k, alpha) and check the extremal claims."""
-    if spec.alpha is None:
-        raise InvalidSizeError("extremal_verify needs an explicit alpha")
-    return _verify_class(spec.k, spec.alpha, enumerate_class(spec))
-
-
 def verify_theorem(k: int, alpha: int | None = None) -> list[ExtremalReport]:
-    """Extremal reports for every nonempty class at this k (or one alpha).
+    """Extremal reports for every nonempty class at this k, or for B(k,
+    alpha) alone, which raises ``EmptyClassError`` when it is empty.
 
     B(k) is enumerated once and partitioned by the generator's alpha,
     one class per report.
     """
     if alpha is not None:
-        return [extremal_verify(ClassSpec(k, alpha))]
+        return [_verify_class(k, alpha, enumerate_class(k, alpha))]
     return [_verify_class(k, a, members) for a, members in biblock_classes(k).items()]

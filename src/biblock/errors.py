@@ -17,20 +17,12 @@ class DuplicateEdgeError(BiblockError, ValueError):
     """An edge is given twice, or added when already present."""
 
 
-class MissingEdgeError(BiblockError, ValueError):
-    """An edge scheduled for deletion is not in the graph."""
-
-
 class InvalidSizeError(BiblockError, ValueError):
     """A size parameter is outside its allowed range."""
 
 
 class SizeMismatchError(BiblockError, ValueError):
     """Two objects that must share a vertex set (or length) do not."""
-
-
-class ZeroVectorError(BiblockError, ValueError):
-    """A vector argument is identically zero."""
 
 
 class OddCycleError(BiblockError):
@@ -43,14 +35,6 @@ class DisconnectedError(BiblockError):
 
 class NotBiBlockError(BiblockError):
     """The graph is not a bi-block graph where one is required."""
-
-
-class NotLeafError(BiblockError):
-    """The named block is not a leaf block."""
-
-
-class SingleBlockError(BiblockError):
-    """The operation needs at least two blocks."""
 
 
 class NotNeighborsError(BiblockError):
@@ -105,7 +89,7 @@ class TheoremViolationError(BiblockError):
     """Extremal verification found a counterexample (must never happen).
 
     Carries the offending graph in ``args[1]`` when raised by
-    ``extremal_verify``; its text is the message alone.
+    ``enumeration._verify_class``; its text is the message alone.
     """
 
     def __str__(self) -> str:

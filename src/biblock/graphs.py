@@ -1,9 +1,9 @@
 """Immutable simple graphs on dense integer labels, with canonical forms.
 
-Vertices are 0..k-1.  Every mutating operation returns a new graph, so a
-graph and its rewritten variant can be compared side by side.  Canonical
-forms are permutation-invariant keys: two graphs have equal keys exactly
-when they are isomorphic.
+Vertices are 0..k-1.  A graph is never changed in place: a rewrite
+builds a new one, so a graph and its rewritten variant can be compared
+side by side.  Canonical forms are permutation-invariant keys: two
+graphs have equal keys exactly when they are isomorphic.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from .errors import (
     DisconnectedError,
     DuplicateEdgeError,
     InvalidSizeError,
-    MissingEdgeError,
     OddCycleError,
     OutOfRangeError,
     SelfLoopError,
@@ -32,8 +31,8 @@ class Graph:
     shape-specific builders rather than calling this directly.  The
     Perron pair, block-cut tree, alpha and the 2-colouring's side of
     vertex 0 are cached in private slots by the functions that compute
-    them, each set once and only on success; the edge set, canonical
-    form and dense matrix are built per call.
+    them, each set once and only on success; the edge set and canonical
+    form are built per call.
     """
 
     __slots__ = ("k", "adj", "_perron", "_blocks", "_alpha", "_left")
@@ -56,28 +55,6 @@ class Graph:
     @property
     def edge_count(self) -> int:
         return sum(m.bit_count() for m in self.adj) // 2
-
-    def has_edge(self, u: int, v: int) -> bool:
-        self._check_vertex(u)
-        self._check_vertex(v)
-        return bool(self.adj[u] >> v & 1)
-
-    def neighbors(self, u: int) -> tuple[int, ...]:
-        """Neighbours of u in ascending order, after a range check on u.
-
-        Public convenience only: the hot loops (the lowpoint DFS, the
-        bit-row matching, the 2-colouring) read ``adj[u]`` bits directly
-        and never pay for the check or the tuple.
-        """
-        self._check_vertex(u)
-        return tuple(_bits(self.adj[u]))
-
-    def degree(self, u: int) -> int:
-        self._check_vertex(u)
-        return self.adj[u].bit_count()
-
-    def degree_sequence(self) -> tuple[int, ...]:
-        return tuple(sorted(m.bit_count() for m in self.adj))
 
     def _check_vertex(self, u: int) -> None:
         if not 0 <= u < self.k:
@@ -160,44 +137,6 @@ def from_edge_list(k: int, pairs) -> Graph:
         adj[u] |= 1 << v
         adj[v] |= 1 << u
     return Graph(k, tuple(adj))
-
-
-def complete_bipartite(m: int, n: int) -> Graph:
-    """K_{m,n} with side M = 0..m-1 and side N = m..m+n-1."""
-    if m < 1 or n < 1:
-        raise InvalidSizeError(f"sides must be >= 1, got ({m}, {n})")
-    k = m + n
-    n_mask = ((1 << k) - 1) ^ ((1 << m) - 1)
-    m_mask = (1 << m) - 1
-    adj = tuple(n_mask if u < m else m_mask for u in range(k))
-    return Graph(k, adj)
-
-
-def add_edge(g: Graph, u: int, v: int) -> Graph:
-    """New graph with edge uv added; the original is unchanged."""
-    g._check_vertex(u)
-    g._check_vertex(v)
-    if u == v:
-        raise SelfLoopError(f"self-loop at vertex {u}")
-    if g.adj[u] >> v & 1:
-        raise DuplicateEdgeError(f"edge ({u}, {v}) already present")
-    adj = list(g.adj)
-    adj[u] |= 1 << v
-    adj[v] |= 1 << u
-    return Graph(g.k, tuple(adj))
-
-
-def delete_edges(g: Graph, pairs) -> Graph:
-    """New graph with every listed edge removed."""
-    adj = list(g.adj)
-    for u, v in pairs:
-        g._check_vertex(u)
-        g._check_vertex(v)
-        if not adj[u] >> v & 1:
-            raise MissingEdgeError(f"edge ({u}, {v}) not present")
-        adj[u] &= ~(1 << v)
-        adj[v] &= ~(1 << u)
-    return Graph(g.k, tuple(adj))
 
 
 def _layers(g: Graph, start: int) -> tuple[int, int, int]:
@@ -293,41 +232,6 @@ def is_bipartite(g: Graph) -> bool:
         even |= e
         odd |= o
     return _same_side_edge(g, even, odd) is None
-
-
-def relabel(g: Graph, perm) -> Graph:
-    """Apply a permutation (old label -> new label) to the vertex set."""
-    if sorted(perm) != list(range(g.k)):
-        raise InvalidSizeError("perm must be a permutation of 0..k-1")
-    adj = [0] * g.k
-    for u in range(g.k):
-        m = 0
-        for v in _bits(g.adj[u]):
-            m |= 1 << perm[v]
-        adj[perm[u]] = m
-    return Graph(g.k, tuple(adj))
-
-
-def induced_subgraph(g: Graph, vertices) -> tuple[Graph, dict[int, int]]:
-    """Induced subgraph on the given vertices, relabeled densely.
-
-    Surviving vertices keep their relative order.  Returns the subgraph
-    and the old-to-new label map.
-    """
-    kept = sorted(set(vertices))
-    if not kept:
-        raise InvalidSizeError("induced subgraph needs >= 1 vertex")
-    for u in kept:
-        g._check_vertex(u)
-    old_to_new = {u: i for i, u in enumerate(kept)}
-    kept_mask = _mask(kept)
-    adj = []
-    for u in kept:
-        m = 0
-        for v in _bits(g.adj[u] & kept_mask):
-            m |= 1 << old_to_new[v]
-        adj.append(m)
-    return Graph(len(kept), tuple(adj)), old_to_new
 
 
 # ---------------------------------------------------------------------------
@@ -461,15 +365,6 @@ def canonical_form(g: Graph) -> CanonicalForm:
         raise TooLargeError(f"canonical forms capped at k <= {CANONICAL_CAP}, got {g.k}")
     rows = _canonical_rows(g)
     return CanonicalForm(bytes([g.k]) + b"".join(r.to_bytes(3, "big") for r in rows))
-
-
-def is_isomorphic(g: Graph, h: Graph) -> bool:
-    """Isomorphism test through canonical forms, with cheap pre-checks."""
-    if g.k != h.k or g.edge_count != h.edge_count:
-        return False
-    if g.degree_sequence() != h.degree_sequence():
-        return False
-    return canonical_form(g) == canonical_form(h)
 
 
 # ---------------------------------------------------------------------------

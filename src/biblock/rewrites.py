@@ -13,9 +13,12 @@ Star coalescing changes bookkeeping only, never the graph, but without
 it the index-reduction move degenerates to a no-op at star centers and
 normalization cannot progress.
 
-Each case is read off the lexicographically smallest maximum independent
-set, ``independence.lexmin_witness``; the brute-force
-``alpha_bruteforce`` is only its test oracle.
+``normalize`` picks each step with ``find_applicable``, whose cases are
+read off the lexicographically smallest maximum independent set,
+``independence.lexmin_witness``, and runs it with ``apply_step``.  The
+``rewrite`` subcommand names one step by block ids through
+``merge_blocks``, ``reattach_subcase32``, ``split_partition_subcase22``
+and ``reduce_block_index``.
 """
 
 from __future__ import annotations

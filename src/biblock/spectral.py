@@ -15,29 +15,28 @@ same arithmetic, checks and bits.  numpy is imported by the functions
 that build or read arrays, at the first Perron solve, not with the
 module, so the commands that never solve load none of it.
 
-``check_identities_J`` checks the leaf-block identities in one pass over
-the block-cut tree: each complete bipartite leaf block H with a complete
-bipartite neighbour F is read once (the sum over P, b_n, x_v and b_m),
-and the residuals of each non-cut witness c on F's side through v follow
-from those values and x_c.
+``check_identities_I`` checks the two-block identities on the class
+values ``two_block_data_from_graph`` reads off the Perron vector of a
+graph of two blocks.  ``check_identities_J`` checks the leaf-block
+identities in one pass over the block-cut tree: each complete bipartite
+leaf block H with a complete bipartite neighbour F is read once (the
+sum over P, b_n, x_v and b_m), and the residuals of each non-cut witness
+c on F's side through v follow from those values and x_c.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .blocks import decompose, leaf_neighbor
 from .errors import (
-    BiblockError,
     DisconnectedError,
     InvalidSizeError,
     NoConvergenceError,
     NotConstantWithinClassError,
     SizeMismatchError,
-    ZeroVectorError,
 )
-from .graphs import Graph, _edge_diff, add_edge, from_edge_list, is_connected
+from .graphs import Graph, is_connected
 
 DEFAULT_TOL = 1e-12
 CLASS_TOL = 1e-9
@@ -67,11 +66,6 @@ def _adjacency_stack(graphs, k: int) -> np.ndarray:
         dtype=np.uint8,
     ).reshape(len(graphs), k, width)
     return np.unpackbits(rows, axis=2, count=k, bitorder="little").astype(float)
-
-
-def dense_adjacency(g: Graph) -> np.ndarray:
-    """Dense 0/1 adjacency matrix, unpacked afresh from the bit rows."""
-    return _adjacency_stack([g], g.k)[0]
 
 
 def _checked_pairs(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -144,130 +138,9 @@ def perron_batch(graphs) -> list[float]:
     return [g._perron.rho for g in graphs]
 
 
-def rayleigh(g: Graph, x) -> float:
-    """Rayleigh quotient (2 sum over edges of x_u x_w) / sum of squares."""
-    import numpy as np
-
-    x = np.asarray(x, dtype=float)
-    if x.shape != (g.k,):
-        raise SizeMismatchError(f"vector length {x.shape} vs k={g.k}")
-    denom = float(x @ x)
-    if denom == 0.0:
-        raise ZeroVectorError("Rayleigh quotient of the zero vector")
-    num = 2.0 * sum(x[u] * x[v] for u, v in g.edges)
-    return num / denom
-
-
-def degree_bounds(g: Graph) -> tuple[int, float, int]:
-    """(min degree, rho, max degree); rho must sit between the two."""
-    pair = perron(g)
-    degs = [g.degree(v) for v in range(g.k)]
-    lo, hi = min(degs), max(degs)
-    if not lo - 1e-9 <= pair.rho <= hi + 1e-9:
-        raise BiblockError(f"degree bounds violated: {lo} <= {pair.rho} <= {hi}")
-    return lo, pair.rho, hi
-
-
-def quad_form_delta(g: Graph, g_star: Graph, x) -> float:
-    """(1/2) X^t (A* - A) X, summed over the edges the two graphs differ in."""
-    if g.k != g_star.k:
-        raise SizeMismatchError(f"vertex counts differ: {g.k} vs {g_star.k}")
-    import numpy as np
-
-    x = np.asarray(x, dtype=float)
-    if x.shape != (g.k,):
-        raise SizeMismatchError(f"vector length {x.shape} vs k={g.k}")
-    added, removed = _edge_diff(g, g_star)
-    return float(
-        sum(x[u] * x[v] for u, v in added) - sum(x[u] * x[v] for u, v in removed)
-    )
-
-
-@dataclass(frozen=True)
-class EdgeMonotonicityReport:
-    rho_before: float
-    rho_after: float
-    increase: float
-
-
-def edge_monotonicity_check(g: Graph, u: int, v: int) -> EdgeMonotonicityReport:
-    """Check that adding the non-edge uv raises rho by more than
-    ``RHO_MARGIN``."""
-    before = perron(g).rho
-    after = perron(add_edge(g, u, v)).rho
-    if not after > before + RHO_MARGIN:
-        raise BiblockError(
-            f"rho failed to increase: {before} -> {after} (margin {RHO_MARGIN})"
-        )
-    return EdgeMonotonicityReport(before, after, after - before)
-
-
 # ---------------------------------------------------------------------------
 # Two-block configurations
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TwoBlockLabeling:
-    """Deterministic labels for K(P,Q)-v-K(M,N): P, then Q with the cut
-    vertex last, then M minus the cut vertex, then N."""
-
-    p: int
-    q: int
-    m: int
-    n: int
-
-    @property
-    def v(self) -> int:
-        return self.p + self.q - 1
-
-    @property
-    def P(self) -> tuple[int, ...]:
-        return tuple(range(self.p))
-
-    @property
-    def Q(self) -> tuple[int, ...]:
-        return tuple(range(self.p, self.p + self.q))
-
-    @property
-    def M(self) -> tuple[int, ...]:
-        return (self.v,) + tuple(range(self.p + self.q, self.p + self.q + self.m - 1))
-
-    @property
-    def N(self) -> tuple[int, ...]:
-        start = self.p + self.q + self.m - 1
-        return tuple(range(start, start + self.n))
-
-
-def two_block_labeling(p: int, q: int, m: int, n: int) -> TwoBlockLabeling:
-    if min(p, q, m, n) < 1:
-        raise InvalidSizeError(f"part sizes must be >= 1, got {(p, q, m, n)}")
-    return TwoBlockLabeling(p, q, m, n)
-
-
-def build_two_block(p: int, q: int, m: int, n: int) -> Graph:
-    """Graph of two complete bipartite blocks sharing one cut vertex.
-
-    The cut vertex lies in Q of the first block and M of the second.
-    """
-    lab = two_block_labeling(p, q, m, n)
-    pairs = [(a, b) for a in lab.P for b in lab.Q]
-    pairs += [(a, b) for a in lab.M for b in lab.N]
-    return from_edge_list(p + q + m + n - 1, pairs)
-
-
-def two_block_rho(p: int, q: int, m: int, n: int) -> float:
-    """Closed-form spectral radius of the two-block graph.
-
-    Also asserts the strict bound rho > max(sqrt(pq), sqrt(mn)).
-    """
-    if min(p, q, m, n) < 1:
-        raise InvalidSizeError(f"part sizes must be >= 1, got {(p, q, m, n)}")
-    pq, mn = p * q, m * n
-    rho = math.sqrt(((pq + mn) + math.sqrt((pq - mn) ** 2 + 4 * p * n)) / 2.0)
-    if not rho > max(math.sqrt(pq), math.sqrt(mn)):
-        raise BiblockError(f"closed form lost strictness at {(p, q, m, n)}")
-    return rho
 
 
 @dataclass(frozen=True)
@@ -324,16 +197,6 @@ def _two_block_data(
     return TwoBlockEigenData(
         len(far_f), len(near_f), len(near_h), len(far_h), a_p, a_q, a_m, a_n, x_v
     )
-
-
-def extract_two_block_data(
-    g: Graph, labeling: TwoBlockLabeling, pair: PerronPair
-) -> TwoBlockEigenData:
-    """Read the constant per-class eigenvector values off a Perron pair."""
-    lab = labeling
-    if g.k != lab.p + lab.q + lab.m + lab.n - 1:
-        raise SizeMismatchError("graph does not match the labeling")
-    return _two_block_data(pair.X, pair.rho, lab.P, lab.Q, lab.M, lab.N, lab.v)
 
 
 def check_identities_I(data: TwoBlockEigenData, rho: float) -> dict[str, float]:

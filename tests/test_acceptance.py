@@ -12,32 +12,33 @@ import time
 import pytest
 
 from biblock import (
-    alpha_bruteforce,
     alpha_matching,
     apply_step,
-    build_two_block,
     canonical_form,
     check_identities_I,
     check_identities_J,
-    complete_bipartite,
     decompose,
-    degree_bounds,
-    edge_monotonicity_check,
-    extract_two_block_data,
     find_applicable,
-    is_isomorphic,
     normalize,
     perron,
-    quad_form_delta,
     reattach_subcase32,
-    two_block_labeling,
-    two_block_rho,
-    verify_prop_alpha,
     verify_theorem,
 )
-from biblock.blocks import leaf_blocks
-from biblock.rewrites import REDUCE_BLOCK_INDEX
-from conftest import enumerate_biblock_filtered, random_connected_bipartite
+from conftest import (
+    alpha_bruteforce,
+    build_two_block,
+    complete_bipartite,
+    degree_bounds,
+    edge_monotonicity_check,
+    enumerate_biblock_filtered,
+    extract_two_block_data,
+    is_isomorphic,
+    peel_differences,
+    quad_form_delta,
+    random_connected_bipartite,
+    two_block_labeling,
+    two_block_rho,
+)
 
 RHO_TOL = 1e-9
 RHO_MARGIN = 1e-10
@@ -136,9 +137,9 @@ def test_criterion_5_peel_dichotomy(biblock_by_k):
             t = decompose(g)
             if len(t.blocks) < 2:
                 continue
-            rep = verify_prop_alpha(g)
-            assert rep.ok, g
-            leaves += len(rep.entries)
+            entries = peel_differences(g)
+            assert all(d in (m, m - 1) for m, d in entries), g
+            leaves += len(entries)
     report(5, f"alpha drop on peeling is m or m-1 at all {leaves} leaf blocks",
            started)
 
@@ -225,13 +226,13 @@ def test_criterion_8_classical_bounds(biblock_by_k):
             (u, v)
             for u in range(g.k)
             for v in range(u + 1, g.k)
-            if not g.has_edge(u, v)
+            if not g.adj[u] >> v & 1
         ]
         if not non_edges:
             continue
         u, v = non_edges[rng.randrange(len(non_edges))]
-        rep = edge_monotonicity_check(g, u, v)
-        assert rep.increase > RHO_MARGIN
+        before, after = edge_monotonicity_check(g, u, v)
+        assert after - before > RHO_MARGIN
         sampled += 1
     report(8, "degree bounds hold everywhere; 200 random edge additions "
               "strictly raise rho", started)

@@ -4,29 +4,36 @@ import pytest
 
 from biblock import (
     alpha_matching,
-    block_index,
-    classify_leaf,
-    complete_bipartite,
     decompose,
     from_edge_list,
     is_bi_block,
     is_connected,
     leaf_blocks,
-    neighbor_union,
-    peel_leaf_block,
     unit_decomposition,
 )
-from biblock.blocks import leaf_neighbor, to_report
+from biblock.blocks import block_by_id, leaf_neighbor, to_report
 from biblock.errors import (
     DisconnectedError,
-    OddCycleError,
-    NotLeafError,
     NotNeighborsError,
+    OddCycleError,
     OutOfRangeError,
-    SingleBlockError,
 )
-from biblock.graphs import bipartition, induced_subgraph
-from conftest import random_biblock, random_connected_bipartite
+from biblock.graphs import bipartition
+from conftest import (
+    NotLeafError,
+    SingleBlockError,
+    build_two_block,
+    classify_leaf,
+    complete_bipartite,
+    delete_edges,
+    induced_subgraph,
+    is_isomorphic,
+    neighbor_union,
+    neighbors,
+    peel_leaf_block,
+    random_biblock,
+    random_connected_bipartite,
+)
 
 
 def path(n):
@@ -47,7 +54,7 @@ def _components_without(g, x):
         stack = [s]
         while stack:
             u = stack.pop()
-            for w in g.neighbors(u):
+            for w in neighbors(g, u):
                 if w != x and comp[w] == -1:
                     comp[w] = s
                     stack.append(w)
@@ -117,7 +124,7 @@ class TestDecompose:
         t = decompose(path(3))
         assert sorted(sorted(b.vertices) for b in t.blocks) == [[0, 1], [1, 2]]
         assert t.cut_vertices == {1}
-        assert block_index(t, 1) == 2
+        assert len(t.incidence[1]) == 2
 
     def test_k23_single_block(self):
         t = decompose(complete_bipartite(2, 3))
@@ -132,7 +139,7 @@ class TestDecompose:
         assert shapes == [(1, 1)] * 5 + [(2, 3), (3, 3), (3, 4)]
         assert len(t.blocks) == 8
         assert t.cut_vertices == {1, 4, 5}
-        assert block_index(t, 1) == 6
+        assert len(t.incidence[1]) == 6
 
     def test_disconnected_rejected(self):
         with pytest.raises(DisconnectedError):
@@ -172,7 +179,7 @@ class TestDecompose:
                 for v in range(g.k):
                     rest, _ = induced_subgraph(g, set(range(g.k)) - {v})
                     is_cut = not is_connected(rest)
-                    assert (block_index(t, v) >= 2) == is_cut
+                    assert (len(t.incidence[v]) >= 2) == is_cut
 
 
 class TestIsBiBlock:
@@ -216,17 +223,11 @@ class TestBlockQueries:
     def test_star_center_index(self):
         g = complete_bipartite(1, 5)
         t = decompose(g)
-        assert block_index(t, 0) == 5
+        assert len(t.incidence[0]) == 5
 
     def test_k23_index_one_everywhere(self):
         t = decompose(complete_bipartite(2, 3))
-        assert all(block_index(t, v) == 1 for v in range(5))
-
-    def test_index_of_missing_vertex_rejected(self):
-        t = decompose(complete_bipartite(2, 3))
-        for v in (-1, 5):
-            with pytest.raises(OutOfRangeError):
-                block_index(t, v)
+        assert all(len(t.incidence[v]) == 1 for v in range(5))
 
     def test_block_ids_out_of_range_rejected(self, fig1):
         t = decompose(fig1)
@@ -244,6 +245,15 @@ class TestBlockQueries:
             for call in calls:
                 with pytest.raises(OutOfRangeError, match=message):
                     call()
+
+    def test_one_vertex_graph_has_no_blocks(self):
+        t = decompose(from_edge_list(1, []))
+        assert t.blocks == ()
+        for bid in (-1, 0, 1):
+            with pytest.raises(
+                OutOfRangeError, match=rf"^block id {bid}: the graph has no blocks$"
+            ):
+                block_by_id(t, bid)
 
     def test_p4_leaf_blocks(self):
         t = decompose(path(4))
@@ -263,8 +273,6 @@ class TestBlockQueries:
         assert len(leaves) == 7  # plus the five pendant edges
 
     def test_fig1_leaves_match_bruteforce(self, fig1):
-        from biblock import delete_edges
-
         t = decompose(fig1)
         for bid, blk in enumerate(t.blocks):
             cut = blk.vertices & t.cut_vertices
@@ -309,8 +317,6 @@ class TestNeighborUnion:
         assert u.k == 3 and u.edge_count == 2
 
     def test_two_k22_blocks(self):
-        from biblock import build_two_block
-
         u = neighbor_union(build_two_block(2, 2, 2, 2), 0, 1)
         assert u.k == 7 and u.edge_count == 8
 
@@ -338,8 +344,6 @@ class TestPeel:
         assert set(mapping) == {0, 1}
 
     def test_two_block_peel(self):
-        from biblock import build_two_block, is_isomorphic
-
         g = build_two_block(2, 2, 2, 2)
         peeled, _ = peel_leaf_block(g, 0)
         assert is_isomorphic(peeled, complete_bipartite(2, 2))

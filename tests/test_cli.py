@@ -16,14 +16,15 @@ import numpy as np
 import pytest
 from jsonschema import validate
 
+import biblock
 from biblock import (
-    complete_bipartite, decompose, format_edge_list, from_edge_list, independence,
-    verify_theorem,
+    blocks, cli, decompose, enumeration, errors, format_edge_list, from_edge_list, graphs,
+    independence, rewrites, spectral, verify_theorem,
 )
 from biblock.cli import _json_text, main
 from biblock.rewrites import NORMALIZE_CAP
 from biblock.errors import NoConvergenceError
-from conftest import FIXTURES, SCHEMAS, random_biblock
+from conftest import FIXTURES, SCHEMAS, build_two_block, complete_bipartite, random_biblock
 
 
 def run_cli(capsys, *argv):
@@ -112,8 +113,6 @@ class TestParser:
 
 class TestIdentitiesCommand:
     def test_two_block_pass(self, capsys, tmp_path):
-        from biblock import build_two_block, format_edge_list
-
         path = tmp_path / "g.edges"
         path.write_text(format_edge_list(build_two_block(2, 2, 2, 2)))
         code, out, _ = run_cli(
@@ -127,8 +126,6 @@ class TestIdentitiesCommand:
         assert payload["leaf_configs"]
 
     def test_loose_solver_fails_band(self, capsys, tmp_path, monkeypatch):
-        from biblock import build_two_block, format_edge_list, spectral
-
         path = tmp_path / "g.edges"
         path.write_text(format_edge_list(build_two_block(3, 2, 2, 4)))
         solve = spectral.perron
@@ -148,8 +145,6 @@ class TestIdentitiesCommand:
 
 class TestRewriteCommand:
     def test_merge_trace(self, capsys, tmp_path):
-        from biblock import build_two_block, format_edge_list
-
         path = tmp_path / "g.edges"
         path.write_text(format_edge_list(build_two_block(2, 2, 2, 2)))
         code, out, _ = run_cli(
@@ -163,8 +158,6 @@ class TestRewriteCommand:
         assert payload["alpha_before"] == payload["alpha_after"]
 
     def test_precondition_failure_is_usage_error(self, capsys, tmp_path):
-        from biblock import build_two_block, format_edge_list
-
         path = tmp_path / "g.edges"
         path.write_text(format_edge_list(build_two_block(1, 2, 2, 3)))
         code, _, err = run_cli(
@@ -191,6 +184,24 @@ class TestRewriteCommand:
         )
         assert (code, out) == (2, "")
         assert err == "error: case 3 subcase 2.2: the step would change alpha 13 -> 12\n"
+
+    @pytest.mark.parametrize("kind", ["merge", "reattach", "split"])
+    def test_one_vertex_graph_has_no_blocks(self, capsys, monkeypatch, kind):
+        monkeypatch.setattr(sys, "stdin", io.StringIO("1\n"))
+        code, out, err = run_cli(
+            capsys, "rewrite", "--kind", kind, "--f-block", "0", "--h-block", "0"
+        )
+        assert (code, out, err) == (2, "", "error: block id 0: the graph has no blocks\n")
+
+    def test_empty_n1_names_no_labels(self, capsys):
+        # An explicit empty N1 is no labels, refused as a bad split; it
+        # does not fall back to the default N1.
+        code, out, err = run_cli(
+            capsys, "rewrite", "--input", FIG1, "--kind", "split",
+            "--f-block", "0", "--h-block", "1", "--n1", "",
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: N1 must be 1 vertices drawn from N=[16, 17, 18, 19, 20]\n"
 
     @pytest.mark.parametrize(
         "ids",
@@ -308,15 +319,21 @@ class TestNormalizeCap:
         assert out.startswith("block-index reduction: ReduceBlockIndex at v=0, +4/-0 edges")
 
 
+PACKAGE_MODULES = (
+    biblock, blocks, cli, enumeration, errors, graphs, independence, rewrites, spectral,
+)
+
+
 class TestNoBruteForce:
-    """No subcommand reaches the brute-force oracle ``_MisSolver``."""
+    """The brute-force oracle lives in ``tests/conftest.py``, not in the
+    package, and every subcommand answers without it."""
 
     @pytest.fixture(autouse=True)
-    def refuse_brute_force(self, monkeypatch):
-        def refuse(g):
-            raise AssertionError("brute force reached")
-
-        monkeypatch.setattr(independence, "_MisSolver", refuse)
+    def no_brute_force_in_the_package(self):
+        oracle = {"_MisSolver", "alpha_bruteforce", "maximum_independent_sets",
+                  "BRUTE_FORCE_CAP"}
+        for mod in PACKAGE_MODULES:
+            assert not oracle & set(vars(mod)), mod.__name__
 
     @pytest.mark.parametrize("argv, expected", [
         (("validate",), 0),
@@ -451,6 +468,46 @@ class TestVerifyTheoremCommand:
             capsys, "verify-theorem", "--k", "5", "--format", "json"
         )
         assert first == second
+
+
+class TestAlphaOption:
+    """``--alpha A`` answers exactly one class of the full sweep, byte for
+    byte, and refuses an empty class."""
+
+    @pytest.mark.parametrize("k", range(2, 10))
+    def test_each_class_is_its_row_of_the_sweep(self, capsys, k):
+        code, text, _ = run_cli(capsys, "verify-theorem", "--k", str(k))
+        assert code == 0
+        code, out, _ = run_cli(capsys, "verify-theorem", "--k", str(k), "--format", "json")
+        assert code == 0
+        rows = json.loads(out)
+        assert len(rows) == len(text.splitlines()) > 0
+        for line, row in zip(text.splitlines(), rows):
+            a = str(row["alpha"])
+            code, out, err = run_cli(capsys, "verify-theorem", "--k", str(k), "--alpha", a)
+            assert (code, out, err) == (0, line + "\n", ""), (k, a)
+            code, out, err = run_cli(
+                capsys, "verify-theorem", "--k", str(k), "--alpha", a, "--format", "json"
+            )
+            assert (code, out, err) == (0, _json_text([row]) + "\n", ""), (k, a)
+
+    @pytest.mark.parametrize("k", range(2, 10))
+    def test_empty_classes_exit_two(self, capsys, k):
+        for alpha in (0, k, 99):
+            for fmt in ("text", "json"):
+                code, out, err = run_cli(
+                    capsys, "verify-theorem", "--k", str(k), "--alpha", str(alpha),
+                    "--format", fmt,
+                )
+                assert (code, out, err) == (2, "", f"error: B({k}, {alpha}) is empty\n")
+
+    def test_enumerate_an_empty_class_prints_nothing(self, capsys):
+        for fmt in ("text", "json"):
+            code, out, err = run_cli(
+                capsys, "enumerate", "--k", "6", "--alpha", "0", "--format", fmt
+            )
+            assert (code, err) == (0, "")
+            assert out == ("" if fmt == "text" else "[]\n")
 
 
 # sha256 of the stdout of `verify-theorem --k K`, (text, json), as printed

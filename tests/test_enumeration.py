@@ -6,20 +6,16 @@ import numpy as np
 import pytest
 
 from biblock import (
-    ClassSpec,
     Graph,
     alpha_bounds,
     alpha_matching,
     biblock_classes,
     canonical_form,
-    complete_bipartite,
     enumerate_biblock,
     enumerate_class,
-    extremal_verify,
     from_edge_list,
     is_bi_block,
     is_connected,
-    is_isomorphic,
     perron,
     perron_batch,
     verify_theorem,
@@ -32,7 +28,13 @@ from biblock.errors import (
     TooLargeError,
 )
 from biblock.graphs import is_bipartite
-from conftest import enumerate_biblock_filtered, enumerate_by_attachment, outcome
+from conftest import (
+    complete_bipartite,
+    enumerate_biblock_filtered,
+    enumerate_by_attachment,
+    is_isomorphic,
+    outcome,
+)
 
 # Counts frozen from the dual-path cross-validation and regression runs;
 # 10..12 from the block-attachment route with canonical-form dedup.
@@ -109,16 +111,16 @@ class TestDualPath:
 
 class TestEnumerateClass:
     def test_b43_is_exactly_the_star(self):
-        members = enumerate_class(ClassSpec(4, 3))
+        members = enumerate_class(4, 3)
         assert len(members) == 1
         assert is_isomorphic(members[0], complete_bipartite(1, 3))
 
     def test_b63_contains_k33(self):
-        members = enumerate_class(ClassSpec(6, 3))
+        members = enumerate_class(6, 3)
         assert any(is_isomorphic(g, complete_bipartite(3, 3)) for g in members)
 
     def test_below_lower_bound_is_empty(self):
-        assert enumerate_class(ClassSpec(5, 2)) == []
+        assert enumerate_class(5, 2) == []
 
     def test_alpha_out_of_bounds_is_empty_before_generating(self, monkeypatch):
         from biblock import enumeration
@@ -130,57 +132,55 @@ class TestEnumerateClass:
         for k in (2, 7, 13):
             lo, hi = alpha_bounds(k)
             for alpha in (-1, 0, lo - 1, hi + 1, k + 1):
-                assert enumerate_class(ClassSpec(k, alpha)) == []
+                assert enumerate_class(k, alpha) == []
             with pytest.raises(EmptyClassError, match=rf"^B\({k}, {k}\) is empty$"):
-                extremal_verify(ClassSpec(k, k))
+                verify_theorem(k, k)
 
     @pytest.mark.parametrize("k", [-1, 1, 14])
     def test_size_checks_come_before_the_alpha_bounds(self, k):
         expected = outcome(enumerate_biblock, k)
         assert expected[0] in (InvalidSizeError, TooLargeError)
         for alpha in (-1, 0, 1, k + 1):
-            assert outcome(enumerate_class, ClassSpec(k, alpha)) == expected
+            assert outcome(enumerate_class, k, alpha) == expected
 
     def test_b54_is_exactly_the_star(self):
-        members = enumerate_class(ClassSpec(5, 4))
+        members = enumerate_class(5, 4)
         assert len(members) == 1
         assert is_isomorphic(members[0], complete_bipartite(1, 4))
 
     def test_classes_partition_enumeration(self, biblock_by_k):
         for k in range(2, 8):
             total = sum(
-                len(enumerate_class(ClassSpec(k, a)))
+                len(enumerate_class(k, a))
                 for a in range(alpha_bounds(k)[0], k)
             )
             assert total == len(biblock_by_k[k])
 
 
 class TestExtremalVerify:
+    """One class B(k, alpha) through ``verify_theorem(k, alpha)``."""
+
     def test_b64(self):
-        rep = extremal_verify(ClassSpec(6, 4))
+        rep = verify_theorem(6, 4)[0]
         assert abs(rep.max_rho - math.sqrt(8)) < 1e-9
         assert rep.argmax_canonical == canonical_form(complete_bipartite(4, 2))
         assert rep.is_unique
 
     def test_b74(self):
-        rep = extremal_verify(ClassSpec(7, 4))
+        rep = verify_theorem(7, 4)[0]
         assert abs(rep.max_rho - math.sqrt(12)) < 1e-9
         assert rep.is_unique
         assert rep.margin is not None and rep.margin > 1e-9
 
     def test_singleton_class(self):
-        rep = extremal_verify(ClassSpec(5, 4))
+        rep = verify_theorem(5, 4)[0]
         assert rep.class_size == 1
         assert abs(rep.max_rho - 2.0) < 1e-9
         assert rep.runner_up_rho is None and rep.margin is None
 
     def test_empty_class_rejected(self):
         with pytest.raises(EmptyClassError):
-            extremal_verify(ClassSpec(5, 2))
-
-    def test_alpha_required(self):
-        with pytest.raises(InvalidSizeError):
-            extremal_verify(ClassSpec(6, None))
+            verify_theorem(5, 2)
 
 
 class TestTheoremVerdict:
@@ -204,7 +204,7 @@ class TestTheoremVerdict:
             enumeration, "perron_batch", lambda gs: [r + 1e-6 for r in solve(gs)]
         )
         with pytest.raises(TheoremViolationError, match="differs from sqrt") as exc:
-            extremal_verify(ClassSpec(6, 4))
+            verify_theorem(6, 4)
         assert is_isomorphic(exc.value.args[1], complete_bipartite(4, 2))
 
     def test_tied_maximizers(self):
@@ -305,7 +305,7 @@ class TestGeneratorOracles:
         for mod in (blocks, enumeration):
             monkeypatch.setattr(mod, "is_bi_block", refuse, raising=False)
         assert [r.class_size for r in verify_theorem(10)] == [150, 440, 172, 23, 1]
-        assert len(enumerate_class(ClassSpec(9, 5))) == 141
+        assert len(enumerate_class(9, 5)) == 141
 
 
 class TestBuildCheck:

@@ -4,38 +4,40 @@ import pytest
 
 from biblock import (
     alpha_bounds,
-    alpha_bruteforce,
     alpha_matching,
-    classify_leaf,
-    complete_bipartite,
     decompose,
     enumerate_biblock,
     from_edge_list,
     is_bi_block,
     lexmin_witness,
-    maximum_independent_sets,
-    verify_lemma_2_1,
-    verify_prop_alpha,
 )
-from biblock.blocks import leaf_blocks, peel_leaf_block
+from biblock.blocks import leaf_blocks
 from biblock.errors import (
     InvalidSizeError,
     NotMaximumError,
     OddCycleError,
     TooLargeError,
 )
-from biblock.graphs import _mask, bipartition, induced_subgraph, relabel
-from biblock.independence import (
+from biblock.graphs import _mask, bipartition
+from biblock.independence import _matching
+from conftest import (
     CUT_IN_SET,
     CUT_OUT_RESTRICTION_MAXIMAL,
     CUT_OUT_RESTRICTION_NOT_MAXIMAL,
-    VertexRemovalReport,
-    _matching,
-)
-from conftest import (
+    alpha_bruteforce,
+    build_two_block,
+    classify_leaf,
+    complete_bipartite,
+    induced_subgraph,
+    lemma_2_1,
+    maximum_independent_sets,
     maximum_sets_by_combinations,
+    neighbors,
+    peel_differences,
+    peel_leaf_block,
     random_biblock,
     random_connected_bipartite,
+    relabel,
 )
 
 
@@ -83,7 +85,7 @@ class TestAlphaMatching:
             res = alpha_matching(g)
             assert len(res.witness) == res.alpha
             for u in res.witness:
-                assert not set(g.neighbors(u)) & res.witness
+                assert not set(neighbors(g, u)) & res.witness
 
     def test_non_bipartite_rejected(self):
         with pytest.raises(OddCycleError):
@@ -107,7 +109,7 @@ class TestAlphaMatching:
                 if alpha_bruteforce(induced_subgraph(g, everything - {v})[0]).alpha
                 == alpha - 1
             }
-            n_d_l = {w for v in d_l for w in g.neighbors(v)}
+            n_d_l = {w for v in d_l for w in neighbors(g, v)}
             assert alpha_matching(g).witness == d_l | (everything - left - n_d_l)
 
     def test_complete_bipartite_at_the_size_limit(self):
@@ -211,7 +213,7 @@ class TestMaximumIndependentSets:
         for s in sets:
             assert len(s) == alpha
             for u in s:
-                assert not set(g.neighbors(u)) & s
+                assert not set(neighbors(g, u)) & s
 
     def test_p3(self):
         assert maximum_independent_sets(path(3)) == [frozenset({0, 2})]
@@ -225,7 +227,7 @@ class TestMaximumIndependentSets:
 
     def test_too_large(self):
         g = from_edge_list(25, [(0, 1)])
-        for fn in (maximum_independent_sets, lambda g: verify_lemma_2_1(g, 0)):
+        for fn in (maximum_independent_sets, lambda g: lemma_2_1(g, 0)):
             with pytest.raises(TooLargeError, match="brute force capped at 24, got k=25"):
                 fn(g)
 
@@ -247,8 +249,6 @@ class TestClassifyLeaf:
         assert case.tag == CUT_IN_SET
 
     def test_tags_match_bruteforce(self, biblock_by_k):
-        from biblock import alpha_matching as am
-
         for g in biblock_by_k[6]:
             t = decompose(g)
             if len(t.blocks) < 2:
@@ -304,63 +304,58 @@ class TestClassifyLeaf:
 
 class TestPropAlpha:
     def test_p3(self):
-        rep = verify_prop_alpha(path(3))
-        assert rep.ok
-        assert all(e.difference == e.m for e in rep.entries)
+        entries = peel_differences(path(3))
+        assert entries
+        assert all(difference == m for m, difference in entries)
 
     def test_two_block_k22_k23(self):
-        from biblock import build_two_block
-
         g = build_two_block(2, 2, 2, 3)
-        rep = verify_prop_alpha(g)
-        assert rep.ok
-        for e in rep.entries:
-            assert e.difference in (e.m, e.m - 1)
+        for m, difference in peel_differences(g):
+            assert difference in (m, m - 1)
 
     def test_enumeration_sweep(self, biblock_by_k):
         for k in range(3, 8):
             for g in biblock_by_k[k]:
                 if len(decompose(g).blocks) < 2:
                     continue
-                assert verify_prop_alpha(g).ok
+                assert all(d in (m, m - 1) for m, d in peel_differences(g))
 
 
 class TestLemma21:
     def test_p3_not_applicable(self):
-        rep = verify_lemma_2_1(path(3), 1)
-        assert not rep.applicable
-        assert not rep.v_in_some_maximum
+        applicable, _, _, _, v_in_some = lemma_2_1(path(3), 1)
+        assert not applicable
+        assert not v_in_some
 
     def test_star_leaf(self):
         g = complete_bipartite(1, 3)
-        rep = verify_lemma_2_1(g, 1)
-        assert rep.applicable and rep.holds
-        assert rep.alpha_g == 3 and rep.alpha_without_v == 2
+        applicable, holds, alpha_g, alpha_without, _ = lemma_2_1(g, 1)
+        assert applicable and holds
+        assert alpha_g == 3 and alpha_without == 2
 
     def test_matches_listing_oracle(self, oracle_graphs):
-        """The report from the definitions: v_in_some_maximum from the
-        listed maximum sets, alpha(G - v) from the induced subgraph."""
+        """The check from the definitions: whether v lies in some maximum
+        set from the listed maximum sets, alpha(G - v) from the induced
+        subgraph."""
         for g in oracle_graphs:
             sets = maximum_sets_by_combinations(g)
             alpha_g = len(sets[0])
             for v in range(g.k):
                 v_in_some = any(v in s for s in sets)
                 if g.k == 1:
-                    expected = VertexRemovalReport(False, None, alpha_g, 0, v_in_some)
+                    expected = (False, None, alpha_g, 0, v_in_some)
                 else:
                     without, _ = induced_subgraph(g, set(range(g.k)) - {v})
                     alpha_without = len(maximum_sets_by_combinations(without)[0])
                     applicable = v_in_some and alpha_without < alpha_g
                     holds = alpha_g == alpha_without + 1 if applicable else None
-                    expected = VertexRemovalReport(
-                        applicable, holds, alpha_g, alpha_without, v_in_some
-                    )
-                assert verify_lemma_2_1(g, v) == expected
+                    expected = (applicable, holds, alpha_g, alpha_without, v_in_some)
+                assert lemma_2_1(g, v) == expected
 
     def test_random_biblock_sweep(self):
         rng = random.Random(11)
         for _ in range(40):
             g = random_biblock(rng, rng.randint(2, 10))
             for v in range(g.k):
-                rep = verify_lemma_2_1(g, v)
-                assert rep.holds is None or rep.holds
+                holds = lemma_2_1(g, v)[1]
+                assert holds is None or holds
