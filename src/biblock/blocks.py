@@ -175,8 +175,10 @@ def is_bi_block(g: Graph) -> bool:
     """True iff g is connected and every block is complete bipartite.
 
     Reads the blocks through ``decompose``, so the block-cut tree stays
-    cached on g: the rewrite system checks each graph it reaches here and
-    its next ``find_applicable`` reads that tree without a second DFS.
+    cached on g: ``normalize`` checks its input here, and its first
+    ``find_applicable`` reads that tree without a second DFS.  The graphs
+    its steps reach are not checked here: ``rewrites.apply_step`` derives
+    each result's tree from the step and caches it on the result.
     """
     return is_connected(g) and all(b.parts is not None for b in decompose(g).blocks)
 

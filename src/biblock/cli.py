@@ -274,7 +274,12 @@ def _cmd_rewrite(args) -> int:
         else:
             n1 = None
             if args.n1 is not None:
-                n1 = [int(s) for s in args.n1.split(",")] if args.n1 else []
+                try:
+                    n1 = [int(s) for s in args.n1.split(",")] if args.n1 else []
+                except ValueError:
+                    raise BiblockError(
+                        f"--n1 must be comma-separated vertex labels, got {args.n1!r}"
+                    ) from None
             outcome = rewrites.split_partition_subcase22(
                 g, args.f_block, args.h_block, n1_choice=n1
             )

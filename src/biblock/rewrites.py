@@ -3,8 +3,11 @@
 Every rewrite is an edge edit on a fixed labeled vertex set that
 replaces the union of two complete-bipartite pieces sharing a cut vertex
 with a single complete bipartite piece.  Each application re-checks its
-own postconditions (vertex count, independence number, non-decreasing
-spectral radius) and refuses loudly on violation.
+own postconditions (vertex count, independence number, bi-block result,
+non-decreasing spectral radius) and refuses loudly on violation.  The
+result's block-cut tree is derived from the step and the edited graph's
+tree, not from a lowpoint DFS on the result, so ``normalize`` runs one
+DFS, on its input.
 
 The normalization driver works on a "unit" view of the block structure:
 a ``BlockCutTree`` whose pieces are the standard blocks, with
@@ -105,28 +108,39 @@ class RewriteOutcome:
 # ---------------------------------------------------------------------------
 
 
+def _piece(side1: frozenset[int], side2: frozenset[int]) -> Block:
+    """Block K(side1, side2), its side with the smallest label first."""
+    parts = (side1, side2) if min(side1) < min(side2) else (side2, side1)
+    return Block(side1 | side2, parts)
+
+
 def unit_decomposition(g: Graph) -> BlockCutTree:
     """The tree of g's blocks with stars around a common center coalesced.
 
-    Processes centers in ascending label order: at each vertex, all
-    units whose side there is the bare singleton merge into one star.
-    The units partition the edge set into complete bipartite pieces,
-    each a Block whose side with the smallest label comes first.
+    Processes centers in ascending label order: at each vertex v, the
+    pendant-edge blocks at v that no earlier center took, read from the
+    standard tree's ``incidence[v]``, merge into one star when there are
+    two or more.  Only standard blocks merge: a star's far side has two
+    or more vertices, so no later center finds it bare.  The units
+    partition the edge set into complete bipartite pieces, each a Block
+    whose side with the smallest label comes first.
     """
-    units = list(decompose(g).blocks)
-    if any(blk.parts is None for blk in units):
+    t = decompose(g)
+    if any(blk.parts is None for blk in t.blocks):
         raise NotBiBlockError("graph has a non-complete-bipartite block")
+    taken = [False] * len(t.blocks)
+    stars = []
     for v in range(g.k):
-        vbit = frozenset([v])
-        stars = [u for u in units if v in u.vertices and u.side_of(v) == vbit]
-        if len(stars) >= 2:
-            merged_far: frozenset[int] = frozenset()
-            for u in stars:
-                merged_far |= u.other_side(v)
-            units = [u for u in units if u not in stars]
-            parts = (merged_far, vbit) if min(merged_far) < v else (vbit, merged_far)
-            units.append(Block(merged_far | vbit, parts))
-    return _tree(units, g.k)
+        ids = [
+            i for i in t.incidence[v]
+            if not taken[i] and len(t.blocks[i].vertices) == 2
+        ]
+        if len(ids) >= 2:
+            far = frozenset().union(*(t.blocks[i].vertices for i in ids)) - {v}
+            stars.append(_piece(frozenset([v]), far))
+            for i in ids:
+                taken[i] = True
+    return _tree([b for i, b in enumerate(t.blocks) if not taken[i]] + stars, g.k)
 
 
 # ---------------------------------------------------------------------------
@@ -158,16 +172,60 @@ def _edit(g: Graph, step: RewriteStep) -> Graph:
     return Graph(g.k, tuple(adj))
 
 
+def _result_tree(t: BlockCutTree, step: RewriteStep) -> BlockCutTree | None:
+    """The standard block-cut tree of the step's result, derived from t,
+    the standard tree of the graph it edits; None when the result is not
+    bi-block.
+
+    Let R = side1 | side2.  The blocks meeting R in two or more vertices
+    must together hold exactly R, so none of them is cut, and join it up:
+    their sizes less one sum to |R| - 1, as the blocks of a connected
+    piece of a block-cut tree do.  The step replaces their edges with
+    K(side1, side2), which is one block, or one pendant-edge block per
+    far vertex when a side is a single vertex.  Every other block meets R
+    in at most one vertex, keeps its edges, stays a block, and must be
+    complete bipartite.
+    """
+    side1, side2 = frozenset(step.side1), frozenset(step.side2)
+    if not side1 or not side2:
+        return None
+    region = side1 | side2
+    kept: list[Block] = []
+    covered: set[int] = set()
+    span = 0
+    for blk in t.blocks:
+        if len(blk.vertices & region) <= 1:
+            if blk.parts is None:
+                return None
+            kept.append(blk)
+        else:
+            covered |= blk.vertices
+            span += len(blk.vertices) - 1
+    if covered != region or span != len(region) - 1:
+        return None
+    if len(side1) > 1 and len(side2) > 1:
+        kept.append(_piece(side1, side2))
+    else:
+        hub, rim = (side1, side2) if len(side1) == 1 else (side2, side1)
+        kept.extend(_piece(hub, frozenset([w])) for w in rim)
+    return _tree(kept, len(t.incidence))
+
+
 def apply_step(g: Graph, step: RewriteStep) -> RewriteOutcome:
-    """Run one rewrite and enforce its postconditions.
+    """Run one rewrite on a connected graph and enforce its postconditions.
 
     Raises PostconditionViolationError if the vertex count changes, the
     independence number moves, the result stops being bi-block, or the
-    spectral radius drops by more than the numerical margin.  Each check
-    recomputes from the result graph; the bi-block check goes through
-    ``decompose(result)``, so it builds the block-cut tree that the next
-    ``find_applicable`` reads.  A no-op step returns its outcome before
-    any check on the result.
+    spectral radius drops by more than the numerical margin.  The
+    independence number and spectral radius are recomputed from the
+    result graph.  The bi-block check reads the step against g's
+    standard block-cut tree, and the result's tree it derives there is
+    cached on the result, so no lowpoint DFS runs on it and the next
+    ``find_applicable`` reads that tree.  A step whose region cuts one of
+    g's blocks is refused there even when its result would be bi-block;
+    every step the proof's cases and the ``rewrite`` operations build
+    covers whole blocks.  A no-op step returns its outcome before any
+    check on the result.
     """
     result = _edit(g, step)
     if result.k != g.k:
@@ -186,7 +244,8 @@ def apply_step(g: Graph, step: RewriteStep) -> RewriteOutcome:
             edges_added=(),
             edges_removed=(),
         )
-    if not is_bi_block(result):
+    result._blocks = _result_tree(decompose(g), step)
+    if result._blocks is None:
         raise PostconditionViolationError(f"{step.case}: result is not bi-block")
     alpha_after = alpha_matching(result).alpha
     if alpha_after != alpha_before:

@@ -203,6 +203,15 @@ class TestRewriteCommand:
         assert (code, out) == (2, "")
         assert err == "error: N1 must be 1 vertices drawn from N=[16, 17, 18, 19, 20]\n"
 
+    @pytest.mark.parametrize("n1", ["x", "16,", "16;17"])
+    def test_bad_n1_names_the_option(self, capsys, n1):
+        code, out, err = run_cli(
+            capsys, "rewrite", "--input", FIG1, "--kind", "split",
+            "--f-block", "0", "--h-block", "1", "--n1", n1,
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: --n1 must be comma-separated vertex labels, got {n1!r}\n"
+
     @pytest.mark.parametrize(
         "ids",
         [

@@ -5,6 +5,7 @@ from itertools import product
 import pytest
 
 from biblock import (
+    Graph,
     alpha_matching,
     apply_step,
     decompose,
@@ -64,12 +65,14 @@ def counting_normalize(monkeypatch):
     graphs each lowpoint DFS, 2-colouring, matching and block-cut tree
     was built for, the graphs of the witness's matchings of induced
     subgraphs (``_matching`` calls given a vertex mask), the ``_edit``
-    calls, the no-op steps it skipped, and the ``is_bi_block`` calls.
+    calls, the no-op steps it skipped, the ``is_bi_block`` calls, and the
+    trees ``apply_step`` derives from its steps.
 
     Trees are counted where ``decompose`` builds them, through
     ``blocks._tree``; ``rewrites`` holds its own reference to ``_tree``,
-    so the unit trees each step builds for its own bookkeeping are not
-    counted."""
+    so the unit trees each step builds for its own bookkeeping, and the
+    derived trees, are not counted there.  Derived trees are counted
+    through ``rewrites._result_tree``."""
     from biblock import blocks, graphs, independence, rewrites
 
     work = {}
@@ -111,6 +114,14 @@ def counting_normalize(monkeypatch):
         return tree
 
     monkeypatch.setattr(blocks, "_tree", counted_tree)
+    derive = rewrites._result_tree
+
+    def counted_derive(t, step):
+        tree = derive(t, step)
+        work["derived"].append(tree)
+        return tree
+
+    monkeypatch.setattr(rewrites, "_result_tree", counted_derive)
     per_call(rewrites, "_edit", "edit")
     per_call(rewrites, "apply_step", "no_op", lambda args, out: out.result == args[0])
     for mod in (blocks, rewrites):
@@ -119,7 +130,7 @@ def counting_normalize(monkeypatch):
 
     def run(g):
         work.update(dfs=[], colouring=[], matching=[], witness_query=[], tree=[],
-                    edit=0, no_op=0, is_bi_block=0)
+                    derived=[], edit=0, no_op=0, is_bi_block=0)
         _, trace = normalize(g)
         return trace, work
 
@@ -127,25 +138,26 @@ def counting_normalize(monkeypatch):
 
 
 def assert_structure_built_once(g, trace, work):
-    """At most one DFS, 2-colouring, matching and tree per graph seen, a
-    tree for each of them, at most k witness matchings for each graph a
-    step left, one ``is_bi_block`` per graph seen, and one ``_edit`` per
-    step tried."""
+    """One lowpoint DFS and one DFS-built tree, both for the input, and
+    one tree derived from each applied step, cached on its result; at
+    most one 2-colouring and matching per graph seen, at most k witness
+    matchings for each graph a step left, one ``is_bi_block`` (the
+    input's), and one ``_edit`` per step tried."""
     seen = {g} | {o.result for o in trace}
     assert len(seen) == len(trace) + 1
-    # A tree does not name its graph; each one built must be the tree
-    # cached on one of the graphs seen.
-    owner = {id(h._blocks): h for h in seen if h._blocks is not None}
-    tree_graphs = [owner.get(id(tree)) for tree in work["tree"]]
-    for key, built in (("dfs", work["dfs"]), ("colouring", work["colouring"]),
-                       ("matching", work["matching"]), ("tree", tree_graphs)):
+    assert work["dfs"] == [g]
+    # A tree does not name its graph: the one tree ``decompose`` built
+    # must be the input's, and each derived one its step's result's.
+    assert [id(tree) for tree in work["tree"]] == [id(g._blocks)]
+    assert [id(tree) for tree in work["derived"]] == [id(o.result._blocks) for o in trace]
+    for key in ("colouring", "matching"):
+        built = work[key]
         assert len(built) == len(set(built)), key
         assert set(built) <= seen, key
-    assert set(tree_graphs) == seen
     stepped = [g, *(o.result for o in trace)][:len(trace)]
     assert set(work["witness_query"]) == set(stepped)
     assert all(work["witness_query"].count(h) <= h.k for h in stepped)
-    assert work["is_bi_block"] == len(trace) + 1
+    assert work["is_bi_block"] == 1
     assert work["edit"] == len(trace) + work["no_op"]
 
 
@@ -532,6 +544,8 @@ class TestApplyStepEdits:
                     # Sorted order matters: the JSON trace prints these lists.
                     assert out.edges_added == tuple(sorted(out.result.edges - g.edges))
                     assert out.edges_removed == tuple(sorted(g.edges - out.result.edges))
+                    if out.result != g:
+                        assert out.result._blocks == dfs_tree(out.result)
                     applied += bool(out.edges_added and out.edges_removed)
         assert kinds == {MERGE_BLOCKS, REATTACH, SPLIT_PARTITION, REDUCE_BLOCK_INDEX}
         assert applied > 0
@@ -605,6 +619,98 @@ class TestApplyStepEdits:
         # K(P u N1, Q u M u N2) on 8 vertices: sides {0,1,5,6} and {2,3,4,7}.
         assert res.edge_count == 16
         assert is_complete_bipartite(res)
+
+
+def attached_biblock(rng, k, max_new):
+    """A bi-block graph grown as ``bench/gen.py`` grows one: a first
+    complete bipartite block, then blocks of 1..max_new new vertices
+    glued at one existing vertex, then shuffled labels."""
+    first = rng.randint(2, min(k, max_new + 1))
+    a = rng.randint(1, first - 1)
+    pieces = [(range(a), range(a, first))]
+    n = first
+    while n < k:
+        j = rng.randint(1, min(max_new, k - n))
+        a = rng.randint(1, j)
+        pieces.append(([rng.randrange(n), *range(n, n + a - 1)], range(n + a - 1, n + j)))
+        n += j
+    perm = list(range(k))
+    rng.shuffle(perm)
+    return from_edge_list(
+        k, [(perm[u], perm[v]) for near, far in pieces for u in near for v in far]
+    )
+
+
+def dfs_tree(h):
+    """h's standard block-cut tree from a lowpoint DFS on an uncached copy."""
+    return decompose(Graph(h.k, h.adj))
+
+
+def assert_trees_derived(g):
+    """Normalize g and check each step's derived tree against a fresh DFS."""
+    _, trace = normalize(g)
+    for o in trace:
+        assert o.result._blocks == dfs_tree(o.result)
+    return len(trace)
+
+
+class TestResultTree:
+    def test_matches_fresh_dfs_over_small_biblocks(self, biblock_by_k):
+        steps = sum(
+            assert_trees_derived(g) for k in range(2, 10) for g in biblock_by_k[k]
+        )
+        assert steps > 800
+
+    def test_matches_fresh_dfs_over_seeded_biblocks(self):
+        rng = random.Random(26)
+        steps = 0
+        for i in range(200):
+            k = rng.randint(2, 40)
+            steps += assert_trees_derived(attached_biblock(rng, k, (2, 3, k)[i % 3]))
+        assert steps > 1000
+
+    def test_single_vertex_side_gives_pendant_edge_blocks(self):
+        # No step the proof's cases build has a side of one vertex, but
+        # apply_step takes any step: K({1}, {2, 3}) on P_5 is two blocks.
+        g = path(5)
+        out = apply_step(g, RewriteStep(MERGE_BLOCKS, "hand-made", 2, (1,), (2, 3)))
+        assert out.result._blocks == dfs_tree(out.result)
+        assert len(out.result._blocks.blocks) == 4
+
+    @pytest.mark.parametrize(
+        "k, edges, side1, side2",
+        [
+            # K({0, 1}, {2, 3}) with the path 0-4-5 hanging from 0: the
+            # region holds the edge block 0-4 and cuts the third block,
+            # the K_{2,2}, in {0, 1}; the result has a triangle 0-1-2.
+            (6, [(0, 2), (0, 3), (1, 2), (1, 3), (0, 4), (4, 5)], (0,), (1, 4)),
+            # K({0, 1}, {2, 3}) with edges 2-4 and 3-5: the region cuts
+            # the K_{2,2} in {0, 1}, and its blocks' sizes less one still
+            # sum to |R| - 1.
+            (6, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 4), (3, 5)], (0, 1), (4, 5)),
+            # P_5: no block meets {0, 4} in two vertices, so none is cut,
+            # but nothing joins the region up and the edge 0-4 closes a
+            # 5-cycle.
+            (5, [(0, 1), (1, 2), (2, 3), (3, 4)], (0,), (4,)),
+            # P_6: the edge blocks 0-1 and 4-5 hold the region but do not
+            # join it up.
+            (6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)], (0, 4), (1, 5)),
+            # A 6-cycle with the path 0-6-7-8 hanging from it: the region
+            # is the two edge blocks at 7, and the 6-cycle stays.
+            (9, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (0, 6), (6, 7), (7, 8)],
+             (6,), (7, 8)),
+            # An empty side removes the edge 0-1 and installs nothing.
+            (3, [(0, 1), (1, 2)], (0, 1), ()),
+        ],
+        ids=["cuts-third-block", "cuts-block-span-matches", "not-joined-p5",
+             "not-joined-p6", "kept-block-not-complete-bipartite", "empty-side"],
+    )
+    def test_step_with_a_non_bi_block_result_is_refused(self, k, edges, side1, side2):
+        g = from_edge_list(k, edges)
+        step = RewriteStep(MERGE_BLOCKS, "hand-made", side1[0], side1, side2)
+        assert not is_bi_block(_edit(g, step))
+        with pytest.raises(PostconditionViolationError, match="result is not bi-block"):
+            apply_step(g, step)
 
 
 class TestTargets:
