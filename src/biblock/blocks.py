@@ -4,11 +4,14 @@ Standard decomposition semantics throughout: a block is a maximal
 subgraph without a cut vertex, so a star splits into pendant-edge
 blocks and its center has block index equal to its degree.
 
-One lowpoint DFS gives both each block's edges and its two sides: the
-tree edges inside a biconnected component span it, so the parity of DFS
-depth 2-colours every block, and a block is complete bipartite exactly
-when all its edges cross the two parity classes and it has |A| * |B|
-edges.  No block is relabelled or 2-coloured again.
+One lowpoint DFS on the bit rows (``_lowpoint_blocks``) gives each
+block's vertices and its two sides, and checks connectivity: the tree
+edges inside a biconnected component span it, so the parity of DFS depth
+2-colours every block, and a block is complete bipartite exactly when no
+edge joins two vertices of one parity class and it has |A| * |B| edges.
+The DFS keeps two running edge counts instead of a list of edges, so a
+block costs a few integer steps plus its frozensets, and no block is
+relabelled or 2-coloured again.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DisconnectedError, OutOfRangeError
-from .graphs import Graph, _bits, is_connected
+from .graphs import Graph
 
 
 @dataclass(frozen=True)
@@ -69,76 +72,83 @@ class BlockCutTree:
     incidence: dict[int, tuple[int, ...]]
 
 
-def _biconnected_edge_components(
-    g: Graph,
-) -> tuple[list[list[tuple[int, int]]], list[int]]:
-    """Hopcroft-Tarjan lowpoint DFS returning the edge set of each
-    biconnected component and the parity of each vertex's DFS depth.
+def _lowpoint_blocks(g: Graph) -> list[Block]:
+    """Every block of g reachable from vertex 0, with its two sides when
+    complete bipartite, from one Hopcroft-Tarjan lowpoint DFS on the bit
+    rows; raises DisconnectedError when some vertex is not reached.
 
-    A component's tree edges form a subtree that spans all its vertices
-    (it hangs from the component's first vertex), so the depth parity is
-    a 2-colouring of that subtree; when the component is bipartite it is
-    the component's 2-colouring, unique up to swapping the sides.
+    The DFS keeps an explicit path, so its depth is not bounded by the
+    interpreter's recursion limit.  Each tree edge goes to the lowest bit
+    of ``adj[u] & ~visited``.  When v is discovered every visited
+    neighbour is an ancestor, so ``adj[v] & visited`` holds v's tree edge
+    and back edges, and ``up[v]``, the OR of these over v's subtree,
+    stands in for its lowpoint: the parent p of u cuts u's subtree off
+    exactly when ``up[u]`` holds no proper ancestor of p.
 
-    The DFS keeps an explicit stack of (vertex, parent, neighbor
-    iterator) frames, so its depth is not bounded by the interpreter's
-    recursion limit.
-    """
-    disc = [-1] * g.k
-    low = [0] * g.k
-    side = [0] * g.k
-    edges: list[tuple[int, int]] = []
-    comps: list[list[tuple[int, int]]] = []
-    disc[0] = low[0] = 0
-    timer = 1
-    frames = [(0, -1, _bits(g.adj[0]))]
-    while frames:
-        u, parent, nbrs = frames[-1]
-        for v in nbrs:
-            if disc[v] == -1:
-                edges.append((u, v))
-                disc[v] = low[v] = timer
-                side[v] = side[u] ^ 1
-                timer += 1
-                frames.append((v, u, _bits(g.adj[v])))
-                break
-            if v != parent and disc[v] < disc[u]:
-                edges.append((u, v))
-                low[u] = min(low[u], disc[v])
-        else:
-            frames.pop()
-            if parent == -1:
-                continue
-            low[parent] = min(low[parent], low[u])
-            if low[u] >= disc[parent]:
-                comp = []
-                while True:
-                    e = edges.pop()
-                    comp.append(e)
-                    if e == (parent, u):
-                        break
-                comps.append(comp)
-    return comps, side
-
-
-def _blocks(g: Graph):
-    """Yield the Block of each biconnected component of a connected g.
-
-    Sides come from the DFS depth parity; ``parts`` is set only when
-    every edge crosses the parity classes and the component has
+    Vertices wait on two stacks by the parity of their depth, which
+    2-colours each block's spanning subtree; running sums count the
+    up-edges (each edge once, at its later end) and the same-parity ones
+    of the vertices waiting.  A block is the two stack suffixes pushed
+    since u plus p, its edge counts are the sums' growth since u, and it
+    is complete bipartite exactly when no edge joins one side and it has
     |A| * |B| edges.
     """
-    comps, side = _biconnected_edge_components(g)
-    for comp in comps:
-        vs = frozenset(u for e in comp for u in e)
+    adj = g.adj
+    k = g.k
+    up = [0] * k
+    parity = [0] * k
+    # Per vertex, at its discovery: the two stacks' lengths and both sums.
+    starts: list[tuple[int, int]] = [(0, 0)] * k
+    sums: list[tuple[int, int]] = [(0, 0)] * k
+    stacks = ([0], [])
+    seen = [1, 0]
+    visited = path_mask = 1
+    path = [0]
+    edges = same = 0
+    found: list[Block] = []
+    while True:
+        u = path[-1]
+        fresh = adj[u] & ~visited
+        if fresh:
+            bit = fresh & -fresh
+            v = bit.bit_length() - 1
+            side = parity[u] ^ 1
+            back = adj[v] & visited
+            starts[v] = (len(stacks[0]), len(stacks[1]))
+            sums[v] = (edges, same)
+            edges += back.bit_count()
+            same += (back & seen[side]).bit_count()
+            up[v] = back
+            parity[v] = side
+            stacks[side].append(v)
+            seen[side] |= bit
+            visited |= bit
+            path_mask |= bit
+            path.append(v)
+            continue
+        path.pop()
+        if not path:
+            break
+        path_mask ^= 1 << u
+        p = path[-1]
+        if up[u] & (path_mask ^ 1 << p):
+            up[p] |= up[u]
+            continue
+        a = parity[p]
+        near, far = stacks[a], stacks[a ^ 1]
+        near_start, far_start = starts[u][a], starts[u][a ^ 1]
+        side_p = frozenset([p, *near[near_start:]])
+        side_q = frozenset(far[far_start:])
+        del near[near_start:], far[far_start:]
+        edges_before, same_before = sums[u]
         parts = None
-        if all(side[u] != side[v] for u, v in comp):
-            first = side[min(vs)]
-            near = frozenset(u for u in vs if side[u] == first)
-            far = vs - near
-            if len(comp) == len(near) * len(far):
-                parts = (near, far)
-        yield Block(vs, parts)
+        if same == same_before and edges - edges_before == len(side_p) * len(side_q):
+            parts = (side_p, side_q) if min(side_p) < min(side_q) else (side_q, side_p)
+        found.append(Block(side_p | side_q, parts))
+        edges, same = edges_before, same_before
+    if visited != (1 << k) - 1:
+        raise DisconnectedError("decompose requires a connected graph")
+    return found
 
 
 def _tree(pieces, k: int) -> BlockCutTree:
@@ -162,25 +172,31 @@ def _tree(pieces, k: int) -> BlockCutTree:
 
 def decompose(g: Graph) -> BlockCutTree:
     """Block-cut tree of the standard blocks of a connected graph, cached
-    on the graph."""
-    if g._blocks is not None:
-        return g._blocks
-    if not is_connected(g):
-        raise DisconnectedError("decompose requires a connected graph")
-    g._blocks = _tree(_blocks(g), g.k)
+    on the graph.
+
+    One lowpoint DFS, ``_lowpoint_blocks``, finds the blocks with their
+    sides and checks connectivity; ``_tree`` sorts them into the tree.
+    """
+    if g._blocks is None:
+        g._blocks = _tree(_lowpoint_blocks(g), g.k)
     return g._blocks
 
 
 def is_bi_block(g: Graph) -> bool:
     """True iff g is connected and every block is complete bipartite.
 
-    Reads the blocks through ``decompose``, so the block-cut tree stays
-    cached on g: ``normalize`` checks its input here, and its first
+    Reads the blocks through ``decompose``, whose DFS also refuses a
+    disconnected g, so the block-cut tree stays cached on g:
+    ``normalize`` checks its input here, and its first
     ``find_applicable`` reads that tree without a second DFS.  The graphs
     its steps reach are not checked here: ``rewrites.apply_step`` derives
     each result's tree from the step and caches it on the result.
     """
-    return is_connected(g) and all(b.parts is not None for b in decompose(g).blocks)
+    try:
+        t = decompose(g)
+    except DisconnectedError:
+        return False
+    return all(b.parts is not None for b in t.blocks)
 
 
 def leaf_blocks(t: BlockCutTree) -> list[int]:

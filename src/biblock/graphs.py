@@ -11,6 +11,7 @@ from __future__ import annotations
 import io
 from collections.abc import Iterable
 from dataclasses import dataclass
+from itertools import chain, islice
 
 from .errors import (
     DisconnectedError,
@@ -372,42 +373,37 @@ def canonical_form(g: Graph) -> CanonicalForm:
 # ---------------------------------------------------------------------------
 
 
-def _edge_list_bodies(lines: Iterable[str]):
-    """Non-blank line bodies with '#' comments cut, read one line at a time.
+# Most lines ``parse_edge_list`` reads and checks as one batch.
+_BATCH_LINES = 4096
 
-    Each read line is split again with ``str.splitlines`` so every line
-    boundary that splitting the whole text would find is found here too.
+
+def _edge_batch(rows: list[str], room: int, k: int, most: int):
+    """The two label columns of a batch of lines that may hold at most
+    ``room`` edge lines.
+
+    Checks the batch in bulk.  Comments are cut and blank lines dropped,
+    so no line holds a '#'; the n lines are joined by " # " and split
+    once, and one ``int`` pass reads each of the columns 0 and 1 of every
+    three tokens.  Each line is two tokens exactly when there are 3n - 1
+    tokens and both passes succeed: ``int`` refuses '#', so the n - 1
+    separators then fill the n - 1 places of column 2.  When a check
+    fails, one line-by-line scan raises the first error in line order: a
+    line past k(k-1)/2 (TooLargeError), a line that is not two tokens
+    (InvalidSizeError), or a token ``int`` refuses (ValueError).
     """
-    for chunk in lines:
-        for line in chunk.splitlines():
-            body = line.split("#", 1)[0].strip()
-            if body:
-                yield body
-
-
-def parse_edge_list(text: str | Iterable[str]) -> Graph:
-    """Parse the text format: first line k, then one 'u v' line per edge.
-
-    ``text`` is a string or an iterable of lines such as an open text
-    file, read lazily.  Labels are 0-based; anything after '#' on a line
-    is a comment.  The vertex count is checked against 1..MAX_K before
-    any edge line is parsed, and reading stops with TooLargeError at
-    edge line k(k-1)/2 + 1, since no simple graph on k vertices has more
-    edges, so an over-long input is refused without being read whole.
-    """
-    bodies = _edge_list_bodies(io.StringIO(text) if isinstance(text, str) else text)
-    header = next(bodies, None)
-    if header is None:
-        raise InvalidSizeError("empty edge-list input")
-    try:
-        k = int(header)
-    except ValueError:
-        raise InvalidSizeError(f"first line must be the vertex count, got {header!r}")
-    _check_vertex_count(k)
-    most = k * (k - 1) // 2
-    pairs = []
-    for body in bodies:
-        if len(pairs) == most:
+    if "#" in "".join(rows):
+        rows = [row.split("#", 1)[0] for row in rows]
+    rows = list(filter(str.strip, rows))
+    tokens = " # ".join(rows).split()
+    n = len(rows)
+    if n <= room and len(tokens) == 3 * n - 1:
+        try:
+            return list(map(int, tokens[0::3])), list(map(int, tokens[1::3]))
+        except ValueError:
+            pass
+    us, vs = [], []
+    for body in map(str.strip, rows):
+        if len(us) == room:
             raise TooLargeError(
                 f"more than k(k-1)/2 = {most} edge lines for k = {k}: "
                 "no simple graph has more edges"
@@ -415,8 +411,68 @@ def parse_edge_list(text: str | Iterable[str]) -> Graph:
         parts = body.split()
         if len(parts) != 2:
             raise InvalidSizeError(f"edge line must be 'u v', got {body!r}")
-        pairs.append((int(parts[0]), int(parts[1])))
-    return from_edge_list(k, pairs)
+        us.append(int(parts[0]))
+        vs.append(int(parts[1]))
+    return us, vs
+
+
+def _graph_from_columns(k: int, us: list[int], vs: list[int]) -> Graph:
+    """``from_edge_list(k, zip(us, vs))`` with its checks made in bulk.
+
+    A label outside 0..k-1 fails an index or a shift while the rows are
+    built, and a self-loop or a repeated edge sets fewer than two new
+    bits, so the rows' total popcount falls short of twice the edge
+    count.  Either way ``from_edge_list`` runs and raises the first error
+    in edge order.
+    """
+    adj = [0] * k
+    try:
+        for u, v in zip(us, vs):
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+    except (IndexError, ValueError):
+        return from_edge_list(k, zip(us, vs))
+    if sum(map(int.bit_count, adj)) != 2 * len(us):
+        return from_edge_list(k, zip(us, vs))
+    return Graph(k, tuple(adj))
+
+
+def parse_edge_list(text: str | Iterable[str]) -> Graph:
+    """Parse the text format: first line k, then one 'u v' line per edge.
+
+    ``text`` is a string or an iterable of lines such as an open text
+    file, read lazily; every line is split again by ``str.splitlines``.
+    Labels are 0-based; anything after '#' on a line is a comment, and
+    blank lines are skipped.  The vertex count is checked against
+    1..MAX_K before any edge line is parsed.  Edge lines are then read
+    and checked in batches (``_edge_batch``), each no longer than the
+    edge lines still allowed plus one, so reading stops with
+    TooLargeError at edge line k(k-1)/2 + 1, since no simple graph on k
+    vertices has more edges, and an over-long input is refused without
+    being read whole.  The errors, and their order, are those of reading
+    line by line and then building with ``from_edge_list``.
+    """
+    lines = io.StringIO(text) if isinstance(text, str) else text
+    rows = chain.from_iterable(map(str.splitlines, lines))
+    for row in rows:
+        header = row.split("#", 1)[0].strip()
+        if header:
+            break
+    else:
+        raise InvalidSizeError("empty edge-list input")
+    try:
+        k = int(header)
+    except ValueError:
+        raise InvalidSizeError(f"first line must be the vertex count, got {header!r}")
+    _check_vertex_count(k)
+    most = k * (k - 1) // 2
+    us: list[int] = []
+    vs: list[int] = []
+    while batch := list(islice(rows, min(_BATCH_LINES, most + 1 - len(us)))):
+        batch_us, batch_vs = _edge_batch(batch, most - len(us), k, most)
+        us += batch_us
+        vs += batch_vs
+    return _graph_from_columns(k, us, vs)
 
 
 def format_edge_list(g: Graph) -> str:

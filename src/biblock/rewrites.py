@@ -212,7 +212,14 @@ def _result_tree(t: BlockCutTree, step: RewriteStep) -> BlockCutTree | None:
 
 
 def apply_step(g: Graph, step: RewriteStep) -> RewriteOutcome:
-    """Run one rewrite on a connected graph and enforce its postconditions.
+    """Run one rewrite on a connected graph and enforce its postconditions:
+    ``_edit``, then ``_finish``."""
+    return _finish(g, step, _edit(g, step))
+
+
+def _finish(g: Graph, step: RewriteStep, result: Graph) -> RewriteOutcome:
+    """The outcome of a step whose edit of g is ``result``, once it passes
+    the step's postconditions.
 
     Raises PostconditionViolationError if the vertex count changes, the
     independence number moves, the result stops being bi-block, or the
@@ -227,7 +234,6 @@ def apply_step(g: Graph, step: RewriteStep) -> RewriteOutcome:
     covers whole blocks.  A no-op step returns its outcome before any
     check on the result.
     """
-    result = _edit(g, step)
     if result.k != g.k:
         raise PostconditionViolationError("vertex count changed")
     alpha_before = alpha_matching(g).alpha
@@ -393,15 +399,18 @@ def _apply_chosen(g: Graph, step: RewriteStep) -> RewriteOutcome:
 
     These operations do not check the witness hypotheses of the proof's
     cases, so a step that would change the independence number is a
-    failed precondition of the request, refused before the step runs,
-    and not a breach of the theorem.
+    failed precondition of the request, refused before the result is
+    checked, and not a breach of the theorem.  The graph is edited once:
+    the alpha test and ``_finish`` read the same result, whose alpha is
+    cached on it.
     """
-    before, after = alpha_matching(g).alpha, alpha_matching(_edit(g, step)).alpha
+    result = _edit(g, step)
+    before, after = alpha_matching(g).alpha, alpha_matching(result).alpha
     if after != before:
         raise PreconditionFailedError(
             f"{step.case}: the step would change alpha {before} -> {after}"
         )
-    return apply_step(g, step)
+    return _finish(g, step, result)
 
 
 def merge_blocks(g: Graph, f_id: int, h_id: int) -> RewriteOutcome:

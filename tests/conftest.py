@@ -1,3 +1,4 @@
+import io
 import math
 import random
 from dataclasses import dataclass
@@ -33,7 +34,7 @@ from biblock.errors import (
     SizeMismatchError,
     TooLargeError,
 )
-from biblock.graphs import Bipartition, _edge_diff
+from biblock.graphs import Bipartition, _check_vertex_count, _edge_diff
 from biblock.independence import _check_maximum
 from biblock.spectral import TwoBlockEigenData, _two_block_data
 
@@ -268,6 +269,42 @@ def edit_by_edge_list(g, step):
     kept = [(u, w) for u, w in g.edges if u not in region or w not in region]
     cross = [(a, b) for a in sorted(side1) for b in sorted(side2)]
     return from_edge_list(g.k, kept + cross)
+
+
+def parse_edge_list_by_line(text):
+    """Oracle for ``graphs.parse_edge_list``: the line-at-a-time reader it
+    replaced.  Each read line is split again with ``str.splitlines``, the
+    '#' comments are cut and blank lines skipped; the header is checked,
+    then each edge line in turn, and the pairs are built with
+    ``from_edge_list``."""
+    lines = io.StringIO(text) if isinstance(text, str) else text
+    bodies = (
+        body
+        for chunk in lines
+        for line in chunk.splitlines()
+        if (body := line.split("#", 1)[0].strip())
+    )
+    header = next(bodies, None)
+    if header is None:
+        raise InvalidSizeError("empty edge-list input")
+    try:
+        k = int(header)
+    except ValueError:
+        raise InvalidSizeError(f"first line must be the vertex count, got {header!r}")
+    _check_vertex_count(k)
+    most = k * (k - 1) // 2
+    pairs = []
+    for body in bodies:
+        if len(pairs) == most:
+            raise TooLargeError(
+                f"more than k(k-1)/2 = {most} edge lines for k = {k}: "
+                "no simple graph has more edges"
+            )
+        parts = body.split()
+        if len(parts) != 2:
+            raise InvalidSizeError(f"edge line must be 'u v', got {body!r}")
+        pairs.append((int(parts[0]), int(parts[1])))
+    return from_edge_list(k, pairs)
 
 
 def outcome(fn, *args):

@@ -101,6 +101,33 @@ def random_connected(rng, k):
     return from_edge_list(k, sorted(edges))
 
 
+def chorded_path(rng, k):
+    """A path through the k vertices in random order plus up to k // 2
+    random chords: the DFS runs deep, and back edges reach several levels
+    up through lowpoints passed on from deep below."""
+    order = rng.sample(range(k), k)
+    edges = {tuple(sorted(e)) for e in zip(order, order[1:])}
+    for _ in range(rng.randint(0, k // 2) if k > 1 else 0):
+        edges.add(tuple(sorted(rng.sample(range(k), 2))))
+    return from_edge_list(k, sorted(edges))
+
+
+def same_side_swap(rng, k):
+    """A random bi-block graph with one cross edge of a block whose larger
+    side has two or more vertices moved inside that side: the block keeps
+    |A| * |B| edges but gains an odd cycle."""
+    g = random_biblock(rng, k)
+    blocks = [b.parts for b in decompose(g).blocks if max(map(len, b.parts)) >= 2]
+    if not blocks:
+        return g
+    side, other = sorted(rng.choice(blocks), key=len, reverse=True)
+    x, x2 = rng.sample(sorted(side), 2)
+    y = rng.choice(sorted(other))
+    edges = (g.edges - {tuple(sorted((x, y)))}) | {tuple(sorted((x, x2)))}
+    h = from_edge_list(k, sorted(edges))
+    return h if is_connected(h) else g
+
+
 def hand_made_graphs():
     """Five connected graphs that are not bi-block."""
     return [
@@ -162,8 +189,10 @@ class TestDecompose:
 
     def test_blocks_and_parts_match_reference(self):
         rng = random.Random(23)
-        graphs = [random_connected(rng, rng.randint(1, 14)) for _ in range(200)]
-        graphs += [random_biblock(rng, rng.randint(1, 16)) for _ in range(100)]
+        graphs = [random_connected(rng, rng.randint(1, 40)) for _ in range(200)]
+        graphs += [random_biblock(rng, rng.randint(1, 40)) for _ in range(100)]
+        graphs += [chorded_path(rng, rng.randint(1, 40)) for _ in range(150)]
+        graphs += [same_side_swap(rng, rng.randint(4, 40)) for _ in range(150)]
         graphs += hand_made_graphs()
         for g in graphs:
             blocks = [(b.vertices, b.parts) for b in decompose(g).blocks]

@@ -34,6 +34,7 @@ from conftest import (
     is_isomorphic,
     neighbors,
     outcome,
+    parse_edge_list_by_line,
     relabel,
     structure_cases,
 )
@@ -338,3 +339,112 @@ class TestEdgeListFormat:
         assert parse_edge_list("1\n") == from_edge_list(1, [])
         with pytest.raises(TooLargeError):
             parse_edge_list("1\n0 0\n")
+
+    def test_bound_inside_a_batch_stops_at_the_line_past_it(self):
+        # k = 10 allows 45 edge lines; the 46th ends the reading, although
+        # a batch may hold thousands of lines.
+        def lines():
+            yield "# ten vertices\n"
+            yield "10\n"
+            pairs = [(u, v) for u in range(10) for v in range(u + 1, 10)]
+            for i, (u, v) in enumerate(pairs):
+                yield f"{u} {v}\n"
+                if i % 7 == 0:
+                    yield "\n"
+            yield "0 1  # edge line 46\n"
+            raise AssertionError("read past edge line k(k-1)/2 + 1")
+
+        with pytest.raises(TooLargeError, match=r"k\(k-1\)/2 = 45"):
+            parse_edge_list(lines())
+
+
+LINE_BREAKS = ["\n", "\r\n", "\r", "\x0c", "\x1c", "\u2028"]
+
+
+def noisy_edge_list(rng):
+    """Seeded edge-list text: a random graph on 1..12 vertices whose lines
+    carry comments, blank and whitespace-only lines, mixed line breaks,
+    and sometimes a bad header, a bad token, a line of 1 or 3 tokens, a
+    negative, out-of-range or looping label, a repeated edge, or more
+    lines than k(k-1)/2."""
+    k = rng.randint(1, 12)
+    pairs = [(u, v) for u in range(k) for v in range(u + 1, k)]
+    edges = rng.sample(pairs, rng.randint(0, len(pairs)))
+    rows = [f"{u} {v}" if rng.random() < 0.8 else f"{v}\t {u}" for u, v in edges]
+    header = str(k)
+    fault = rng.randrange(14)
+    if fault == 0:
+        header = rng.choice(["x", "+%d" % k, "%d 1" % k, "0", "3001", "", "1_0"])
+    elif fault == 1 and rows:
+        rows[rng.randrange(len(rows))] = rng.choice(["1", "0 1 2", "x 1", "1 x"])
+    elif fault == 2:
+        rows.append(rng.choice(["+1 0", "1_0 0", "0 +1"]))
+    elif fault == 3:
+        rows.append(f"{rng.choice([-1, -k, k, k + 3])} {rng.randrange(k)}")
+    elif fault == 4:
+        rows.append(f"{rng.randrange(k)} {rng.choice([-1, -k - 1, k])}")
+    elif fault == 5:
+        u = rng.randrange(k)
+        rows.insert(rng.randint(0, len(rows)), f"{u} {u}")
+    elif fault == 6 and edges:
+        u, v = rng.choice(edges)
+        rows.insert(rng.randint(0, len(rows)), f"{v} {u}")
+    elif fault == 7:
+        rows += [f"{u} {v}" for u, v in rng.sample(pairs, len(pairs))] + ["0 1"] * 2
+    elif fault == 8 and rows:
+        # Two faults: the one on the earlier line, or the reading error,
+        # comes first.
+        rows[rng.randrange(len(rows))] = f"{k} 0"
+        rows.insert(rng.randint(0, len(rows)), rng.choice(["x y", "1", "0 0 0"]))
+    out = []
+    for row in [header, *rows]:
+        while rng.random() < 0.2:
+            out.append(rng.choice(["", "   ", "\t", "# comment", "  # indented"]))
+        if rng.random() < 0.15:
+            row += "  # trailing"
+        out.append(row)
+    return "".join(line + rng.choice(LINE_BREAKS) for line in out)
+
+
+def sources(rng, text):
+    """The text as a string, as lines with and without their breaks, and
+    cut into chunks at random places, lines read one at a time."""
+    cuts = sorted(rng.sample(range(len(text) + 1), min(len(text) + 1, rng.randint(0, 6))))
+    chunks = [text[a:b] for a, b in zip([0, *cuts], [*cuts, len(text)])]
+    return [
+        text,
+        iter(text.splitlines(keepends=True)),
+        iter(text.splitlines()),
+        iter(chunks),
+    ]
+
+
+def test_reader_matches_line_by_line_oracle():
+    rng = random.Random(2004)
+    seen = set()
+    for i in range(1500):
+        text = noisy_edge_list(rng)
+        for new, old in zip(sources(random.Random(i), text), sources(random.Random(i), text)):
+            got, want = outcome(parse_edge_list, new), outcome(parse_edge_list_by_line, old)
+            assert got == want, repr(text)
+            seen.add(want[0] if want[0] == "value" else want[0].__name__)
+    assert seen == {"value", "InvalidSizeError", "TooLargeError", "ValueError",
+                    "OutOfRangeError", "SelfLoopError", "DuplicateEdgeError"}
+
+
+@pytest.mark.parametrize("fault, at", [(None, 0)] + [
+    (fault, at)
+    for fault in ("x 1", "1 2 3", "0 0", "99 98", "1 0", "7 100")
+    for at in (10, 4090, 4097, 4950)
+])
+def test_reader_matches_oracle_across_batches(fault, at):
+    # K_100 has 4950 edge lines, more than one batch; one fault goes in
+    # the first batch, at its end, in the second, or past the bound.
+    rows = [f"{u} {v}" for u in range(100) for v in range(u + 1, 100)]
+    rows[3000:3000] = ["", "# a comment", "  "]
+    if fault is not None:
+        rows.insert(at, fault)
+    text = "100\n" + "\n".join(rows) + "\n"
+    got = outcome(parse_edge_list, iter(text.splitlines(keepends=True)))
+    assert got == outcome(parse_edge_list_by_line, text)
+    assert (got[0] == "value") == (fault is None)

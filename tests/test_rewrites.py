@@ -17,6 +17,7 @@ from biblock import (
     merge_blocks,
     normalize,
     perron,
+    read_edge_list,
     reattach_subcase32,
     reduce_block_index,
     split_partition_subcase22,
@@ -44,6 +45,7 @@ from biblock.rewrites import (
     _leaf_case_step,
 )
 from conftest import (
+    FIXTURES,
     alpha_bruteforce,
     build_two_block,
     complete_bipartite,
@@ -96,7 +98,7 @@ def counting_normalize(monkeypatch):
 
         monkeypatch.setattr(mod, name, counted)
 
-    per_graph(blocks, "_biconnected_edge_components", "dfs")
+    per_graph(blocks, "_lowpoint_blocks", "dfs")
     per_graph(graphs, "bipartition", "colouring")
     per_graph(independence, "bipartition", "colouring")
     matching = independence._matching
@@ -219,6 +221,28 @@ class TestMergeBlocks:
         assert out.result == g
         assert out.delta_rho == 0.0
         assert out.alpha_before == out.alpha_after == 2
+
+    def test_fig1_merge_edits_once_and_makes_two_matchings(self, monkeypatch):
+        # One edit, whose result the alpha precondition and the
+        # postconditions share: one matching for fig1, one for the result.
+        from biblock import independence, rewrites
+
+        calls = {"edit": 0, "matching": 0}
+        edit, matching = rewrites._edit, independence._matching
+
+        def counted_edit(*args):
+            calls["edit"] += 1
+            return edit(*args)
+
+        def counted_matching(*args):
+            calls["matching"] += 1
+            return matching(*args)
+
+        monkeypatch.setattr(rewrites, "_edit", counted_edit)
+        monkeypatch.setattr(independence, "_matching", counted_matching)
+        out = merge_blocks(read_edge_list(str(FIXTURES / "fig1.edges")), 0, 1)
+        assert out.alpha_before == out.alpha_after == 13
+        assert calls == {"edit": 1, "matching": 2}
 
     def test_two_block_2222_gives_k43(self):
         g = build_two_block(2, 2, 2, 2)
