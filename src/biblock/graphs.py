@@ -416,27 +416,6 @@ def _edge_batch(rows: list[str], room: int, k: int, most: int):
     return us, vs
 
 
-def _graph_from_columns(k: int, us: list[int], vs: list[int]) -> Graph:
-    """``from_edge_list(k, zip(us, vs))`` with its checks made in bulk.
-
-    A label outside 0..k-1 fails an index or a shift while the rows are
-    built, and a self-loop or a repeated edge sets fewer than two new
-    bits, so the rows' total popcount falls short of twice the edge
-    count.  Either way ``from_edge_list`` runs and raises the first error
-    in edge order.
-    """
-    adj = [0] * k
-    try:
-        for u, v in zip(us, vs):
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-    except (IndexError, ValueError):
-        return from_edge_list(k, zip(us, vs))
-    if sum(map(int.bit_count, adj)) != 2 * len(us):
-        return from_edge_list(k, zip(us, vs))
-    return Graph(k, tuple(adj))
-
-
 def parse_edge_list(text: str | Iterable[str]) -> Graph:
     """Parse the text format: first line k, then one 'u v' line per edge.
 
@@ -449,8 +428,9 @@ def parse_edge_list(text: str | Iterable[str]) -> Graph:
     edge lines still allowed plus one, so reading stops with
     TooLargeError at edge line k(k-1)/2 + 1, since no simple graph on k
     vertices has more edges, and an over-long input is refused without
-    being read whole.  The errors, and their order, are those of reading
-    line by line and then building with ``from_edge_list``.
+    being read whole.  ``from_edge_list`` then builds the graph and checks
+    every edge, so the errors, and their order, are those of reading line
+    by line.
     """
     lines = io.StringIO(text) if isinstance(text, str) else text
     rows = chain.from_iterable(map(str.splitlines, lines))
@@ -472,7 +452,7 @@ def parse_edge_list(text: str | Iterable[str]) -> Graph:
         batch_us, batch_vs = _edge_batch(batch, most - len(us), k, most)
         us += batch_us
         vs += batch_vs
-    return _graph_from_columns(k, us, vs)
+    return from_edge_list(k, zip(us, vs))
 
 
 def format_edge_list(g: Graph) -> str:

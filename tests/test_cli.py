@@ -896,6 +896,20 @@ class TestRobustness:
             "no simple graph has more edges\n"
         )
 
+    @pytest.mark.parametrize("row, label", [
+        ("0 10000000000", "10000000000"),
+        ("-" + "9" * 30 + " 1", "-" + "9" * 30),
+        ("1 " + "9" * 30, "9" * 30),
+    ])
+    def test_huge_labels_are_refused(self, capsys, tmp_path, row, label):
+        path = tmp_path / "huge.edges"
+        path.write_text(f"3\n{row}\n")
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "validate", "--input", str(path))
+        assert time.perf_counter() - start < 0.5
+        assert (code, out) == (2, "")
+        assert err == f"error: vertex {label} not in 0..2\n"
+
     def test_long_stdin_is_refused(self, capsys, monkeypatch):
         monkeypatch.setattr(sys, "stdin", io.StringIO("3\n" + "0 1\n" * 10**6))
         start = time.perf_counter()

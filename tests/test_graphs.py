@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -358,6 +359,24 @@ class TestEdgeListFormat:
             parse_edge_list(lines())
 
 
+    @pytest.mark.parametrize("label", [10**10, 10**30, -10**30])
+    @pytest.mark.parametrize("first", [True, False])
+    def test_huge_label_is_out_of_range(self, label, first):
+        # The range is checked before a label is shifted into a row, so a
+        # label of 10**10 does not make a 10**10-bit integer first.
+        row = f"{label} 1" if first else f"1 {label}"
+        text = f"3\n0 2\n{row}\n"
+        tracemalloc.start()
+        try:
+            got = outcome(parse_edge_list, text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == outcome(parse_edge_list_by_line, text)
+        assert got == (OutOfRangeError, f"vertex {label} not in 0..2")
+        assert peak < 1 << 20
+
+
 LINE_BREAKS = ["\n", "\r\n", "\r", "\x0c", "\x1c", "\u2028"]
 
 
@@ -380,9 +399,9 @@ def noisy_edge_list(rng):
     elif fault == 2:
         rows.append(rng.choice(["+1 0", "1_0 0", "0 +1"]))
     elif fault == 3:
-        rows.append(f"{rng.choice([-1, -k, k, k + 3])} {rng.randrange(k)}")
+        rows.append(f"{rng.choice([-1, -k, k, k + 3, 10**10, -10**30])} {rng.randrange(k)}")
     elif fault == 4:
-        rows.append(f"{rng.randrange(k)} {rng.choice([-1, -k - 1, k])}")
+        rows.append(f"{rng.randrange(k)} {rng.choice([-1, -k - 1, k, 10**10, 10**30])}")
     elif fault == 5:
         u = rng.randrange(k)
         rows.insert(rng.randint(0, len(rows)), f"{u} {u}")

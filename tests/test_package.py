@@ -81,11 +81,10 @@ print(json.dumps({"never": sorted(never), "cases": sorted(cases)}))
 """
 
 
-def corpus(normalize_paths, refused_paths):
+def corpus(normalize_paths):
     """Every subcommand in both formats on fig1 and each rewrite kind,
     identities on two blocks, the generation commands with and without
-    --alpha, normalize on the seeded inputs, and validate on inputs the
-    reader refuses."""
+    --alpha, and normalize on the seeded inputs."""
     argvs = []
     for fmt in ("text", "json"):
         for command in (
@@ -103,7 +102,6 @@ def corpus(normalize_paths, refused_paths):
             argvs.append([*command, "--format", fmt])
             argvs.append([*command, "--alpha", "4", "--format", fmt])
     argvs += [["normalize", "--input", p, "--format", "json"] for p in normalize_paths]
-    argvs += [["validate", "--input", p] for p in refused_paths]
     return argvs
 
 
@@ -116,13 +114,10 @@ def test_every_function_is_on_the_cli_path(tmp_path):
         paths[-1].write_text(format_edge_list(g))
     two_block = tmp_path / "two_block.edges"
     two_block.write_text(format_edge_list(build_two_block(2, 3, 2, 2)))
-    # A repeated edge, refused by the row builder's checks after reading.
-    repeated = tmp_path / "repeated.edges"
-    repeated.write_text("3\n0 1\n1 0\n")
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     proc = subprocess.run(
         [sys.executable, "-c", TRACE_RUN, str(FIXTURES / "fig1.edges"), str(two_block),
-         json.dumps(corpus([str(p) for p in paths], [str(repeated)]))],
+         json.dumps(corpus([str(p) for p in paths]))],
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
