@@ -104,9 +104,9 @@ def _mask(vertices) -> int:
 
 
 # Largest vertex count a graph may be built with from outside input.  The
-# costliest commands make one dense eigensolve, cubic in k: on P_3000
-# every command answers, the slowest (rho, identities) in about 5.4 s
-# wall on one BLAS thread and 380 MB.
+# costliest commands make one eigensolve, cubic in the smaller side of a
+# bipartite graph: on P_3000 every command answers, the slowest (rho,
+# identities) in under 1 s of CPU on one BLAS thread and 165 MB.
 MAX_K = 3000
 
 

@@ -56,8 +56,8 @@ SPLIT_PARTITION = "SplitPartitionSubcase22"
 REDUCE_BLOCK_INDEX = "ReduceBlockIndex"
 
 # Largest k ``normalize`` rewrites.  Each step runs ``lexmin_witness``
-# (at most k matchings) and dense Perron solves, so its cost grows about
-# as k^3.
+# (at most k matchings) and Perron solves, so its cost grows about as
+# k^3.
 NORMALIZE_CAP = 300
 
 

@@ -1,19 +1,25 @@
 """Perron eigenpairs and the eigenvector identities of two-block and
 leaf-block configurations.
 
-The Perron pair comes from one symmetric eigensolve of the dense
-adjacency matrix.  The solver returns the top eigenvector up to sign and
-rounding, so its absolute value is taken and every entry below the
-smallest positive normal double is raised to it: along long pendant
-paths the true entries decay below 1e-17 and even underflow, and there
-the solver returns zeros or tiny values of either sign.  The pair is
-checked rather than trusted: every entry must be positive and the
-residual must meet ``DEFAULT_TOL`` relative to rho + 1.  ``perron_batch``
-solves graphs of one size by stacking their matrices into one ``eigh``
-call per chunk; ``perron`` is a batch of one, so a lone graph gets the
-same arithmetic, checks and bits.  numpy is imported by the functions
-that build or read arrays, at the first Perron solve, not with the
-module, so the commands that never solve load none of it.
+A connected bipartite graph with sides L and R has the adjacency matrix
+A = [[0, B], [B^T, 0]], so rho^2 is the top eigenvalue of B B^T and the
+Perron entries on R are B^T u / rho for its top eigenvector u
+(Cvetkovic, Rowlinson & Simic, *An Introduction to the Theory of Graph
+Spectra*, 2010, section 1.3).  ``perron`` solves such a graph on its
+smaller side: one symmetric eigensolve of the |L| x |L| Gram matrix of
+L's rows, with no k x k array.  Any other connected graph gets one
+eigensolve of its dense adjacency matrix.  A solver returns its top
+eigenvector up to sign and rounding, so the absolute value is taken
+and every entry below the smallest positive normal double is raised to
+it: along long pendant paths the true entries decay below 1e-17 and
+even underflow, and there the solver returns zeros or tiny values of
+either sign.  Every pair is checked rather than trusted, by one check
+for both routes: every entry must be positive and the residual must
+meet ``DEFAULT_TOL`` relative to rho + 1.  ``perron_batch`` solves
+graphs of one size by stacking their dense matrices into one ``eigh``
+call per chunk.  numpy is imported by the functions that build or read
+arrays, at the first Perron solve, not with the module, so the commands
+that never solve load none of it.
 
 ``check_identities_I`` checks the two-block identities on the class
 values ``two_block_data_from_graph`` reads off the Perron vector of a
@@ -36,7 +42,7 @@ from .errors import (
     NotConstantWithinClassError,
     SizeMismatchError,
 )
-from .graphs import Graph, is_connected
+from .graphs import Graph, _bits, _layers, _same_side_edge
 
 DEFAULT_TOL = 1e-12
 CLASS_TOL = 1e-9
@@ -55,39 +61,39 @@ class PerronPair:
     X: np.ndarray
 
 
-def _adjacency_stack(graphs, k: int) -> np.ndarray:
-    """Dense 0/1 adjacency matrices of graphs on k vertices, stacked into
-    an (n, k, k) array, unpacked afresh from the bit rows."""
+def _dense_rows(masks, k: int) -> np.ndarray:
+    """The given bit rows of graphs on k vertices unpacked into a fresh
+    (n, k) float array of 0s and 1s."""
     import numpy as np
 
     width = (k + 7) // 8
-    rows = np.frombuffer(
-        b"".join(m.to_bytes(width, "little") for g in graphs for m in g.adj),
-        dtype=np.uint8,
-    ).reshape(len(graphs), k, width)
-    return np.unpackbits(rows, axis=2, count=k, bitorder="little").astype(float)
+    packed = np.frombuffer(
+        b"".join(m.to_bytes(width, "little") for m in masks), dtype=np.uint8
+    ).reshape(-1, width)
+    return np.unpackbits(packed, axis=1, count=k, bitorder="little").astype(float)
 
 
-def _checked_pairs(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(rho, X) of every matrix in the stack a, shape (n, k, k), from one
-    ``eigh`` call, checked matrix by matrix.
+def _adjacency_stack(graphs, k: int) -> np.ndarray:
+    """Dense 0/1 adjacency matrices of graphs on k vertices, stacked into
+    an (n, k, k) array, unpacked afresh from the bit rows."""
+    return _dense_rows((m for g in graphs for m in g.adj), k).reshape(len(graphs), k, k)
 
-    Each top eigenvector's absolute value, floored at
-    ``np.finfo(float).tiny``, is its X (a row of a fresh, read-only
-    (n, k) array, not a view of the solver's eigenvector stack), and its
-    Rayleigh quotient is rho.  Every X must be positive and meet
-    ``max|(A + I)X - (rho + 1)X| <= DEFAULT_TOL * (rho + 1)``; the first
-    matrix that does not raises ``NoConvergenceError``.  The +1 shift
+
+def _verified(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rho, X) of each row of the stack x, shape (n, k), given y, the
+    rows of (A + I)X for each row's matrix A.
+
+    rho + 1 is the Rayleigh quotient x . y.  Every X must be positive and
+    meet ``max|(A + I)X - (rho + 1)X| <= DEFAULT_TOL * (rho + 1)``; the
+    first row that does not raises ``NoConvergenceError``.  The +1 shift
     leaves the residual vector as it is; it keeps the bound relative to
     rho + 1, the tolerance this module and its tests are stated against.
-    The products are batched matrix-vector and vector-vector ones, so a
-    stack of one gives the same bits as the same arithmetic on a lone
-    matrix.
+    The products are batched vector-vector ones, so a stack of one gives
+    the same bits as the same arithmetic on a lone vector.  x is made
+    read-only and returned.
     """
     import numpy as np
 
-    x = np.maximum(np.abs(np.linalg.eigh(a)[1][:, :, -1]), np.finfo(float).tiny)
-    y = np.matmul(a, x[:, :, None])[:, :, 0] + x
     lam = np.matmul(x[:, None, :], y[:, :, None])[:, 0, 0]
     resid = np.abs(y - lam[:, None] * x).max(axis=1)
     low = x.min(axis=1)
@@ -102,14 +108,70 @@ def _checked_pairs(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lam - 1.0, x
 
 
+def _checked_pairs(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rho, X) of every matrix in the stack a, shape (n, k, k), from one
+    ``eigh`` call, checked by ``_verified``.
+
+    Each top eigenvector's absolute value, floored at
+    ``np.finfo(float).tiny``, is its X (a row of a fresh, read-only
+    (n, k) array, not a view of the solver's eigenvector stack).  (A + I)X
+    comes from batched matrix-vector products, so again a stack of one
+    gives the same bits as a lone matrix.
+    """
+    import numpy as np
+
+    x = np.maximum(np.abs(np.linalg.eigh(a)[1][:, :, -1]), np.finfo(float).tiny)
+    return _verified(x, np.matmul(a, x[:, :, None])[:, :, 0] + x)
+
+
+def _bipartite_pair(g: Graph, side: int) -> tuple[np.ndarray, np.ndarray]:
+    """(rho, X) of a connected bipartite graph, as one-row stacks, from one
+    ``eigh`` of the Gram matrix of the rows of ``side``, one of its two
+    colour classes given as a mask, checked by ``_verified``.
+
+    The rows of ``side`` are non-zero only in the other side's columns,
+    so with a those rows as an (|side|, k) array, a a^T is B B^T and a^T
+    u is B^T u.  With (lambda, u) the top eigenpair of a a^T, X is
+    sqrt(lambda) u on ``side`` and a^T u elsewhere, normalised, and its
+    absolute value floored at ``np.finfo(float).tiny`` as in
+    ``_checked_pairs``.  (A + I)X is a x on ``side`` and a^T x elsewhere,
+    plus X, so no k x k array is built.
+    """
+    import numpy as np
+
+    idx = list(_bits(side))
+    a = _dense_rows((g.adj[i] for i in idx), g.k)
+    w, v = np.linalg.eigh(a @ a.T)
+    u = v[:, -1]
+    x = a.T @ u
+    x[idx] = np.sqrt(w[-1]) * u
+    x = np.maximum(np.abs(x[None] / np.linalg.norm(x)), np.finfo(float).tiny)
+    y = a.T @ x[0, idx] + x[0]
+    y[idx] += a @ x[0]
+    return _verified(x, y[None])
+
+
 def perron(g: Graph) -> PerronPair:
-    """Dominant eigenpair of the adjacency matrix of a connected graph:
-    a batch of one, solved and checked by ``perron_batch`` and cached on
-    the graph, so each graph is solved once and keeps no k x k array."""
+    """Dominant eigenpair of the adjacency matrix of a connected graph on
+    k >= 2 vertices, cached on the graph, so each graph is solved once
+    and keeps no k x k array.
+
+    One breadth-first layering checks connectivity and 2-colours g.  A
+    bipartite graph is solved on its smaller side by ``_bipartite_pair``;
+    any other graph by ``_checked_pairs`` on its dense matrix, with the
+    same arithmetic and bits as ``perron_batch``.
+    """
     if g._perron is None:
-        if not is_connected(g):
+        seen, even, odd = _layers(g, 0)
+        if seen != (1 << g.k) - 1:
             raise DisconnectedError("perron requires a connected graph")
-        perron_batch([g])
+        if g.k < 2:
+            raise InvalidSizeError("perron needs k >= 2")
+        if _same_side_edge(g, even, odd) is None:
+            rho, x = _bipartite_pair(g, min(even, odd, key=int.bit_count))
+        else:
+            rho, x = _checked_pairs(_adjacency_stack([g], g.k))
+        g._perron = PerronPair(rho.item(), x[0])
     return g._perron
 
 

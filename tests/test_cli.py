@@ -590,7 +590,7 @@ FIG1_JSON_SHA256 = {
     ("rho",):
         "72419c0bed96c5c78bba31b623c8e4715c33c63610162c1c2f92e9ecce73ad9c",
     ("identities",):
-        "6a71ecbb492f0033e17bbf2649d2a6ab7a3c52b80bd207032bdf6462025e72fc",
+        "b8914a69601067c73c51bbeb1406475bdbfdfb361ae0f8ac1c30ad10c9fc524c",
     ("normalize",):
         "648dfe8ee955e359e83b4f9ce09afd7221024ab154dce3edffcbded771fa7cc4",
     ("rewrite", "--kind", "merge", "--f-block", "0", "--h-block", "1"):

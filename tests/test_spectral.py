@@ -55,6 +55,38 @@ def path(n):
     return from_edge_list(n, [(i, i + 1) for i in range(n - 1)])
 
 
+def cycle(n):
+    return from_edge_list(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def hypercube(d):
+    n = 1 << d
+    return from_edge_list(n, [(u, u ^ 1 << b) for u in range(n) for b in range(d) if u < u ^ 1 << b])
+
+
+def pendant_path(a, k):
+    """K_{a,a} on 0..2a-1 with a path from vertex 0 through 2a..k-1."""
+    pairs = [(u, v) for u in range(a) for v in range(a, 2 * a)]
+    pairs += [(0, 2 * a)] + [(w, w + 1) for w in range(2 * a, k - 1)]
+    return from_edge_list(k, pairs)
+
+
+def assert_pair(pair, rho, x):
+    """pair against an oracle: rho within 1e-13 relative, X within 1e-12
+    absolute, every entry positive, unit norm and read-only."""
+    assert abs(pair.rho - rho) <= 1e-13 * rho
+    assert np.max(np.abs(pair.X - x)) <= 1e-12
+    assert np.all(pair.X > 0)
+    assert abs(np.linalg.norm(pair.X) - 1.0) <= 1e-12
+    assert not pair.X.flags.writeable
+
+
+def dense_oracle(g):
+    """rho and |top eigenvector| of g's dense matrix, from numpy's eigh."""
+    w, v = np.linalg.eigh(dense(g))
+    return w[-1], np.abs(v[:, -1])
+
+
 class TestPerron:
     @pytest.mark.parametrize("m", range(1, 13))
     @pytest.mark.parametrize("n", range(1, 13))
@@ -96,17 +128,13 @@ class TestPerron:
         # k = 45; deep along the path the Perron vector decays to about
         # 1e-26, where the eigensolver's raw top eigenvector has entries
         # of either sign; its absolute value must come out positive.
-        pairs = [(u, v) for u in range(10) for v in range(10, 20)]
-        pairs += [(0, 20)] + [(w, w + 1) for w in range(20, 44)]
-        pair = perron(from_edge_list(45, pairs))
+        pair = perron(pendant_path(10, 45))
         assert np.all(pair.X > 0)
 
     def test_underflowing_entries_on_k30_30_with_long_pendant_path(self):
         # k = 320; far along the path the true entries fall below the
         # smallest double, so the returned vector is floored there.
-        pairs = [(u, v) for u in range(30) for v in range(30, 60)]
-        pairs += [(0, 60)] + [(w, w + 1) for w in range(60, 319)]
-        g = from_edge_list(320, pairs)
+        g = pendant_path(30, 320)
         pair = perron(g)
         a = dense(g)
         assert np.all(pair.X > 0)
@@ -115,15 +143,17 @@ class TestPerron:
         assert abs(pair.rho - np.linalg.eigvalsh(a)[-1]) <= 1e-12 * pair.rho
 
     def test_matches_eigvalsh(self, biblock_by_k):
-        rng = random.Random(2004)
-        graphs = [g for k in sorted(biblock_by_k) for g in biblock_by_k[k]]
-        graphs += [random_biblock(rng, k) for k in range(10, 121, 5)]
+        rng = random.Random(30)
+        # Fresh copies: the shared graphs may hold pairs cached by
+        # perron_batch.
+        graphs = [Graph(g.k, g.adj) for k in sorted(biblock_by_k) for g in biblock_by_k[k]]
+        graphs += [random_biblock(rng, k) for k in range(10, 121, 5) for _ in range(3)]
+        graphs += [cycle(6), cycle(8), hypercube(3), hypercube(4)]
+        graphs += [complete_bipartite(1, b) for b in range(1, 13)]
+        graphs += [complete_bipartite(a, a) for a in range(1, 13)]
+        graphs += [pendant_path(10, 45), pendant_path(30, 320)]
         for g in graphs:
-            pair = perron(g)
-            top = np.linalg.eigvalsh(dense(g))[-1]
-            assert abs(pair.rho - top) <= 1e-12 * pair.rho, g.k
-            assert np.all(pair.X > 0), g.k
-            assert abs(np.linalg.norm(pair.X) - 1.0) <= 1e-12, g.k
+            assert_pair(perron(g), *dense_oracle(g))
 
     def test_pair_cached_on_graph(self):
         g = path(5)
@@ -155,10 +185,14 @@ class TestPerronBatch:
                 assert not perron(g).X.flags.writeable
 
     def test_cached_pairs_are_kept(self):
+        # perron and perron_batch solve path(5) by different arithmetic
+        # (test_matches_perron_in_any_chunking checks that they agree); a
+        # cached pair is returned as it is, not solved again.
         g, h = path(5), path(5)
         pair = perron(g)
-        assert perron_batch([g, h, g]) == [pair.rho] * 3
-        assert perron(g) is pair and perron(h).rho == pair.rho
+        rhos = perron_batch([g, h, g])
+        assert perron(g) is pair and rhos[0] == rhos[2] == pair.rho
+        assert perron(h).rho == rhos[1]
 
     def test_mixed_or_too_small_sizes_refused(self):
         with pytest.raises(SizeMismatchError):
@@ -166,6 +200,61 @@ class TestPerronBatch:
         with pytest.raises(InvalidSizeError):
             perron_batch([from_edge_list(1, [])])
         assert perron_batch([]) == []
+
+
+class TestPerronRoutes:
+    """perron's two routes: one eigh of B B^T on the smaller side of a
+    bipartite graph (TestPerron.test_matches_eigvalsh checks it against
+    the dense matrix), and the dense eigh of perron_batch for the rest."""
+
+    def test_solves_on_the_smaller_side_only(self, monkeypatch):
+        from biblock import spectral
+
+        shapes = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: shapes.append(a.shape) or eigh(a))
+        monkeypatch.setattr(spectral, "_adjacency_stack", None)
+        for g in (path(7), complete_bipartite(5, 3), hypercube(3)):
+            perron(g)
+        assert shapes == [(3, 3), (3, 3), (4, 4)]
+
+    def test_balanced_block_at_the_size_limit(self):
+        pair = perron(complete_bipartite(1500, 1500))
+        assert_pair(pair, 1500.0, np.full(3000, 3000 ** -0.5))
+
+    def test_underflowing_pendant_path_at_the_size_limit(self):
+        # The entries fall by about rho = 30 per step along the path and
+        # pass below the smallest double some 200 steps past vertex 60.
+        # So the solution on k = 320 (dense eigh), with every later entry
+        # floored, is the solution on k = 3000 to well within rounding.
+        g = pendant_path(30, 3000)
+        pair = perron(g)
+        rho, x = dense_oracle(pendant_path(30, 320))
+        tiny = np.finfo(float).tiny
+        assert_pair(pair, rho, np.concatenate([np.maximum(x, tiny), np.full(2680, tiny)]))
+        assert pair.X.min() == tiny
+        u, v = np.array(sorted(g.edges)).T
+        ax = np.zeros(g.k)
+        np.add.at(ax, u, pair.X[v])
+        np.add.at(ax, v, pair.X[u])
+        assert np.max(np.abs(ax - pair.rho * pair.X)) <= DEFAULT_TOL * (pair.rho + 1)
+
+    @pytest.mark.parametrize("g", [from_edge_list(3, [(0, 1), (1, 2), (0, 2)]),
+                                   from_edge_list(4, [(u, v) for u in range(4) for v in range(u)]),
+                                   cycle(5)], ids=["K3", "K4", "C5"])
+    def test_non_bipartite_graphs_keep_the_dense_bits(self, g):
+        pair = perron(g)
+        h = Graph(g.k, g.adj)
+        assert perron_batch([h]) == [pair.rho]
+        assert perron(h).X.tobytes() == pair.X.tobytes()
+        assert not pair.X.flags.writeable
+
+    def test_unreachable_tolerance_reports_no_convergence(self, monkeypatch):
+        from biblock import spectral
+
+        monkeypatch.setattr(spectral, "DEFAULT_TOL", -1.0)
+        with pytest.raises(NoConvergenceError):
+            perron(cycle(3))
 
 
 class TestRayleigh:
